@@ -10,7 +10,7 @@ namespace csj {
 
 Encoder::Encoder(Dim d, Epsilon eps, uint32_t parts) : d_(d), eps_(eps) {
   CSJ_CHECK_GE(d, 1u);
-  const uint32_t p = std::clamp<uint32_t>(parts, 1, d);
+  const uint32_t p = ClampParts(parts, d);
   // Figure 1 splits d=27 into 6|7|7|7: the first parts take floor(d/p)
   // dimensions and the last (d mod p) parts take one extra.
   const Dim base = d / p;

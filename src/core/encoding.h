@@ -1,6 +1,7 @@
 #ifndef CSJ_CORE_ENCODING_H_
 #define CSJ_CORE_ENCODING_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -34,11 +35,18 @@ namespace csj {
 /// reproduces the sweep).
 class Encoder {
  public:
-  /// `parts` is clamped to [1, d]: more parts than dimensions would leave
-  /// empty segments with degenerate [0, eps*0] ranges.
+  /// `parts` is clamped by ClampParts.
   Encoder(Dim d, Epsilon eps, uint32_t parts = kDefaultParts);
 
   static constexpr uint32_t kDefaultParts = 4;
+
+  /// The part count an Encoder built for (d, parts) uses: `parts` clamped
+  /// to [1, d], since more parts than dimensions would leave empty
+  /// segments with degenerate [0, eps*0] ranges. Cache keys and stored
+  /// encodings are sized by this value.
+  static uint32_t ClampParts(uint32_t parts, Dim d) {
+    return std::clamp<uint32_t>(parts, 1, d);
+  }
 
   Dim d() const { return d_; }
   Epsilon eps() const { return eps_; }

@@ -365,13 +365,6 @@ void EncodingCache::PutEncodedA(const CommunityDigest& digest, Epsilon eps,
   PutReady(key, std::move(encoded), bytes);
 }
 
-void EncodingCache::PutCommunityWindow(
-    const CommunityDigest& digest, std::shared_ptr<const VerifyWindow> window) {
-  const Key key{digest.fingerprint, SaltOf(EntryKind::kCommunityWindow)};
-  const size_t bytes = sizeof(VerifyWindow) + window->MemoryBytes();
-  PutReady(key, std::move(window), bytes);
-}
-
 void EncodingCache::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::shared_mutex> lock(shard.mu);

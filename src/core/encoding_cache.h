@@ -166,12 +166,10 @@ class EncodingCache {
                    std::shared_ptr<const EncodedB> encoded);
   void PutEncodedA(const CommunityDigest& digest, Epsilon eps, uint32_t parts,
                    std::shared_ptr<const EncodedA> encoded);
-  void PutCommunityWindow(const CommunityDigest& digest,
-                          std::shared_ptr<const VerifyWindow> window);
 
   /// Pre-sizes every shard's hash table for `additional_entries` more
   /// slots. Bulk ingestion knows how many artifacts it is about to warm
-  /// (3 per catalog entry); reserving once up front removes every
+  /// (2 per catalog entry); reserving once up front removes every
   /// incremental rehash from the ingest path — each rehash rewalks a
   /// whole shard map under its exclusive lock.
   void Reserve(size_t additional_entries);

@@ -456,14 +456,21 @@ void SignatureIndex::InstallBatch(uint32_t shard_index,
                                   std::span<SlotInstall> batch) {
   CSJ_CHECK(shard_index < shards_.size());
   Shard& shard = shards_[shard_index];
+  for (const SlotInstall& element : batch) {
+    CSJ_CHECK(element.signature != nullptr);
+    CSJ_CHECK(element.signature->quantiles() == options_.quantiles)
+        << "signature resolution does not match the index";
+  }
+  if (batch.size() == 1) {
+    InstallSlot(shard, batch[0].id, batch[0].version,
+                std::move(batch[0].signature));
+    return;
+  }
   // Reservation pass: upper-bound each target pack's growth so the
   // install loop never reallocates mid-batch. Replacements free their
   // old slot, so this can over-reserve — that only pads capacity.
   std::map<PackKey, size_t> growth;
   for (const SlotInstall& element : batch) {
-    CSJ_CHECK(element.signature != nullptr);
-    CSJ_CHECK(element.signature->quantiles() == options_.quantiles)
-        << "signature resolution does not match the index";
     ++growth[{element.signature->d(), SignatureHomeDim(*element.signature)}];
   }
   for (const auto& [key, count] : growth) {

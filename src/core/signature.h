@@ -253,7 +253,9 @@ class SignatureIndex {
   /// replays the exact per-element Install semantics in order —
   /// including replacement of ids already resident and of duplicates
   /// within the batch — so the resulting pack columns and summaries
-  /// are byte-identical to calling Install once per element.
+  /// are byte-identical to calling Install once per element. A batch
+  /// of one skips the reservation: an exact-size reserve per call would
+  /// defeat the columns' geometric growth under per-entry upserts.
   /// Signatures are consumed (moved out of the batch).
   void InstallBatch(uint32_t shard, std::span<SlotInstall> batch);
 

@@ -120,7 +120,8 @@ enum class SectionKind : uint32_t {
   kEncACols = 21,     ///< uint64[2S]  EncodedA part-major lo/hi columns
   kWindowPrefix = 22, ///< uint64[n+1] padded-window prefix sums (total W)
   kEncAWindow = 23,   ///< uint32[W]   EncodedA verify windows (sorted order)
-  kComWindow = 24,    ///< uint32[W]   community verify windows (user order)
+  // 24 is retired. Older segments carry a Baseline community-window
+  // section of that kind, which readers skip. Never reuse the number.
 };
 
 /// One section descriptor (32 bytes). Payload bytes live at

@@ -50,7 +50,6 @@ const char* KindName(uint32_t kind) {
     case SectionKind::kEncACols: return "enc_a_cols";
     case SectionKind::kWindowPrefix: return "window_prefix";
     case SectionKind::kEncAWindow: return "enc_a_window";
-    case SectionKind::kComWindow: return "com_window";
   }
   return "unknown";
 }
@@ -68,10 +67,6 @@ struct Reporter {
     report->findings.push_back({false, std::move(message)});
   }
 };
-
-uint32_t ClampedParts(uint32_t warm_parts, Dim d) {
-  return std::clamp(warm_parts, 1u, d);
-}
 
 /// Deep-verifies one entry: every derived artifact recomputed from the
 /// stored counters and byte-compared against the stored columns.
@@ -143,10 +138,8 @@ void DeepVerifyEntry(const MappedSegment& segment, size_t i,
     const auto window_prefix =
         segment.Column<uint64_t>(SectionKind::kWindowPrefix);
     const auto a_window = segment.Column<Count>(SectionKind::kEncAWindow);
-    const auto c_window = segment.Column<Count>(SectionKind::kComWindow);
 
-    const Encoder encoder(d, header.warm_eps,
-                          ClampedParts(header.warm_parts, d));
+    const Encoder encoder(d, header.warm_eps, header.warm_parts);
     const uint64_t u0 = users_prefix[i];
     const uint64_t s0 = sums_prefix[i];
     const uint64_t w0 = window_prefix[i];
@@ -182,16 +175,6 @@ void DeepVerifyEntry(const MappedSegment& segment, size_t i,
     if (!a_ok) {
       reporter->Fatal(tag +
                       ": stored EncodedA disagrees with recomputation");
-    }
-
-    VerifyWindow rebuilt_window;
-    rebuilt_window.Assign(users, d,
-                          [&](uint32_t u) { return community.User(u); });
-    if (std::memcmp(rebuilt_window.BlockData(0), c_window.data() + w0,
-                    window * sizeof(Count)) != 0) {
-      reporter->Fatal(tag +
-                      ": stored community window disagrees with "
-                      "recomputation");
     }
   }
 }
@@ -309,7 +292,7 @@ bool VerifySegmentShapes(const MappedSegment& segment, Reporter* reporter) {
     }
     for (size_t i = 0; i < n && ok; ++i) {
       const uint64_t users = users_prefix[i + 1] - users_prefix[i];
-      const uint32_t parts = ClampedParts(header.warm_parts, dims[i]);
+      const uint32_t parts = Encoder::ClampParts(header.warm_parts, dims[i]);
       if (sums_prefix[i + 1] - sums_prefix[i] != users * parts) {
         fail("entry id " + std::to_string(ids[i]) +
              ": part-sum prefix disagrees with users * parts");
@@ -339,8 +322,6 @@ bool VerifySegmentShapes(const MappedSegment& segment, Reporter* reporter) {
           segment.Column<uint64_t>(SectionKind::kEncACols).size() !=
               2 * total_sums ||
           segment.Column<Count>(SectionKind::kEncAWindow).size() !=
-              window_prefix[n] ||
-          segment.Column<Count>(SectionKind::kComWindow).size() !=
               window_prefix[n]) {
         fail("encoding column lengths disagree with the prefix totals");
       }

@@ -31,13 +31,6 @@ void CopyBytes(void* dst, const void* src, size_t size) {
   if (size != 0) std::memcpy(dst, src, size);
 }
 
-/// The clamped per-entry part count, exactly Encoder's clamp — the
-/// store derives it instead of persisting it (it is a pure function of
-/// (warm_parts, d)).
-uint32_t ClampedParts(uint32_t warm_parts, Dim d) {
-  return std::clamp(warm_parts, 1u, d);
-}
-
 bool ReadSuperblock(const std::string& path, Superblock* superblock,
                     bool* present, std::string* error) {
   *present = false;
@@ -157,9 +150,9 @@ std::unique_ptr<Store> Store::Open(StoreOptions options, std::string* error,
   store->generation_ = superblock.generation;
 
   if (store->generation_ >= 1) {
-    store->segment_ = MappedSegment::Map(
-        store->SegmentPath(store->generation_), store->options_.use_madvise,
-        store->options_.use_hugepages, error);
+    store->segment_ =
+        MappedSegment::Map(store->SegmentPath(store->generation_),
+                           /*willneed=*/true, /*hugepages=*/true, error);
     if (store->segment_ == nullptr) return nullptr;
   }
   if (stats != nullptr) {
@@ -251,7 +244,6 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
     const auto window_prefix =
         segment_->Column<uint64_t>(SectionKind::kWindowPrefix);
     const auto a_window = segment_->Column<Count>(SectionKind::kEncAWindow);
-    const auto c_window = segment_->Column<Count>(SectionKind::kComWindow);
 
     // Shape validation — the zero-copy views below index the mapped
     // columns through the prefix arrays, and those arrays live in
@@ -300,7 +292,7 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
       }
       if (has_encodings) {
         const uint32_t parts =
-            ClampedParts(header.warm_parts, static_cast<Dim>(d));
+            Encoder::ClampParts(header.warm_parts, static_cast<Dim>(d));
         if (sums_prefix[i + 1] - sums_prefix[i] != users * parts) {
           return shape_error("part-sum prefix");
         }
@@ -326,8 +318,7 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
           users_prefix[n] != a_real.size() ||
           sums_prefix[n] != b_sums.size() ||
           2 * sums_prefix[n] != a_cols.size() ||
-          window_prefix[n] != a_window.size() ||
-          window_prefix[n] != c_window.size()) {
+          window_prefix[n] != a_window.size()) {
         return shape_error("encoding bytes");
       }
     }
@@ -364,7 +355,7 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
                 std::make_shared<const CommunitySignature>(view, segment_);
           }
           if (adopt_encodings) {
-            const uint32_t parts = ClampedParts(header.warm_parts, d);
+            const uint32_t parts = Encoder::ClampParts(header.warm_parts, d);
             EncodedB::Columns b;
             b.parts = parts;
             b.n = users;
@@ -382,10 +373,6 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
             a.cols = a_cols.data() + 2 * sums_prefix[i];
             a.window = a_window.data() + window_prefix[i];
             entry.encoded_a = std::make_shared<const EncodedA>(a, segment_);
-            auto window = std::make_shared<VerifyWindow>();
-            window->AssignView(users, d, c_window.data() + window_prefix[i],
-                               segment_);
-            entry.window = std::move(window);
           }
         });
     recovered_next = std::max<uint64_t>(recovered_next, header.next_version);
@@ -526,7 +513,7 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
     EntryShape& shape = shapes[i];
     shape.d = entry.community->d();
     shape.users = entry.community->size();
-    shape.parts = ClampedParts(catalog_options.warm_parts, shape.d);
+    shape.parts = Encoder::ClampParts(catalog_options.warm_parts, shape.d);
     shape.window = VerifyWindow::PaddedCount(shape.users, shape.d);
     name_prefix[i + 1] = name_prefix[i] + entry.community->name().size();
     users_prefix[i + 1] = users_prefix[i] + shape.users;
@@ -559,7 +546,6 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   std::vector<UserId> a_real(has_encodings ? users_prefix[n] : 0);
   std::vector<uint64_t> a_cols(has_encodings ? 2 * sums_prefix[n] : 0);
   std::vector<Count> a_window(has_encodings ? window_prefix[n] : 0);
-  std::vector<Count> c_window(has_encodings ? window_prefix[n] : 0);
 
   // Parallel fill: every entry writes disjoint column stretches. Warm
   // artifacts come from the catalog's cache (built on miss through the
@@ -591,8 +577,6 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
       const auto encoded_a =
           cache->GetEncodedA(*entry.community, entry.digest,
                              catalog_options.warm_eps, shape.parts, nullptr);
-      const auto window =
-          cache->GetCommunityWindow(*entry.community, entry.digest, nullptr);
       for (uint32_t u = 0; u < shape.users; ++u) {
         b_ids[users_prefix[i] + u] = encoded_b->encoded_id(u);
         b_real[users_prefix[i] + u] = encoded_b->real_id(u);
@@ -611,8 +595,6 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
                       sizeof(uint64_t));
       std::memcpy(a_window.data() + window_prefix[i],
                   encoded_a->window().BlockData(0),
-                  shape.window * sizeof(Count));
-      std::memcpy(c_window.data() + window_prefix[i], window->BlockData(0),
                   shape.window * sizeof(Count));
     }
   });
@@ -667,7 +649,6 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
     add(SectionKind::kWindowPrefix, 8, window_prefix.data(),
         window_prefix.size() * 8);
     add(SectionKind::kEncAWindow, 4, a_window.data(), a_window.size() * 4);
-    add(SectionKind::kComWindow, 4, c_window.data(), c_window.size() * 4);
   }
 
   const std::string segment_path = SegmentPath(new_generation);
@@ -721,8 +702,8 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   }
   // Remap so a same-process RestoreInto (populate-compare, tests) reads
   // the generation just sealed.
-  segment_ = MappedSegment::Map(segment_path, options_.use_madvise,
-                                options_.use_hugepages, error);
+  segment_ = MappedSegment::Map(segment_path, /*willneed=*/true,
+                                /*hugepages=*/true, error);
   if (segment_ == nullptr) return false;
 
   if (stats != nullptr) {

@@ -13,11 +13,10 @@
 namespace csj::persist {
 
 struct StoreOptions {
-  /// Store directory; created (one level) when absent.
+  /// Store directory; created (one level) when absent. Sealed segments
+  /// are always mapped with the WILLNEED and HUGEPAGE hints (advisory,
+  /// see MappedSegment::Map).
   std::string dir;
-  /// madvise hints applied to mapped segments (see MappedSegment::Map).
-  bool use_madvise = true;
-  bool use_hugepages = true;
   /// fsync barrier cadence of the mutation log (records per barrier; 1
   /// makes every mutation durable before its shard lock is released).
   size_t log_sync_every = 1;

@@ -87,63 +87,189 @@ CommunityCatalog::Shard& CommunityCatalog::ShardOf(uint64_t id) {
       static_cast<const CommunityCatalog*>(this)->ShardOf(id));
 }
 
-uint64_t CommunityCatalog::Upsert(uint64_t id, Community community) {
-  CSJ_CHECK(!community.empty()) << "catalog entries must be non-empty";
-  // Freeze, digest and warm OUTSIDE any lock: digesting is O(n*d) and a
-  // cache build sorts the whole community — holding a shard lock across
-  // either would stall every reader of the shard.
+namespace {
+
+/// The Encoder the warm builds use, memoized per thread: batches are
+/// near-always one dimensionality, and the constructor allocates its
+/// part-boundary table. The memo keys on the raw construction
+/// parameters, since the thread_local outlives any one catalog and must
+/// not leak across catalogs configured with different warm options.
+const Encoder& WarmEncoder(Dim d, Epsilon eps, uint32_t parts) {
+  struct EncoderMemo {
+    std::unique_ptr<Encoder> encoder;
+    Dim d = 0;
+    Epsilon eps = 0;
+    uint32_t parts = 0;
+  };
+  thread_local EncoderMemo memo;
+  if (memo.encoder == nullptr || memo.d != d || memo.eps != eps ||
+      memo.parts != parts) {
+    memo.encoder = std::make_unique<Encoder>(d, eps, parts);
+    memo.d = d;
+    memo.eps = eps;
+    memo.parts = parts;
+  }
+  return *memo.encoder;
+}
+
+/// Streams `community`'s counters toward the cache ahead of its next
+/// touch. The digest is each buffer's first touch since the generator
+/// built it, and with ~20 KB of artifact traffic between touches the
+/// hardware prefetcher never re-arms, leaving that first walk
+/// latency-bound (measured ~3x slower than the prefetched walk).
+void PrefetchCounters(const Community& community) {
+  const auto flat = community.flat();
+  for (size_t b = 0; b < flat.size(); b += 16) __builtin_prefetch(&flat[b]);
+}
+
+/// A prepare-step input carrying nothing prebuilt: the entry of an
+/// Upsert or a BulkLoad member.
+CommunityCatalog::RestoredEntry Fresh(
+    uint64_t id, uint64_t version, std::shared_ptr<const Community> community) {
+  CommunityCatalog::RestoredEntry pending;
+  pending.id = id;
+  pending.version = version;
+  pending.community = std::move(community);
+  return pending;
+}
+
+}  // namespace
+
+CatalogEntry CommunityCatalog::PrepareEncodings(RestoredEntry&& pending,
+                                                bool digested) const {
   CatalogEntry entry;
-  entry.id = id;
-  entry.community = std::make_shared<const Community>(std::move(community));
-  entry.digest = DigestCommunity(*entry.community);
-  if (options_.cache != nullptr) {
-    // Key on the CLAMPED part count, exactly as the join methods do, so
-    // the first query's lookups are hits, not parallel builds.
-    const Encoder encoder(entry.community->d(), options_.warm_eps,
-                          options_.warm_parts);
-    options_.cache->GetEncodedB(*entry.community, entry.digest,
-                                options_.warm_eps, encoder.parts(), nullptr);
-    options_.cache->GetEncodedA(*entry.community, entry.digest,
-                                options_.warm_eps, encoder.parts(), nullptr);
-    options_.cache->GetCommunityWindow(*entry.community, entry.digest,
-                                       nullptr);
-  }
+  entry.id = pending.id;
+  entry.version = pending.version;
+  entry.community = std::move(pending.community);
+  entry.digest = digested ? pending.digest : DigestCommunity(*entry.community);
   if (signature_index_ != nullptr) {
-    // Sketch building sorts every counter column — also too expensive to
-    // run under the shard lock.
-    entry.signature = std::make_shared<const CommunitySignature>(
-        *entry.community, signature_index_->options());
+    entry.signature = std::move(pending.signature);
   }
-  entry.version = next_version_.fetch_add(1, std::memory_order_acq_rel);
-  const uint32_t shard_index = ShardIndexOf(id);
+  if (options_.cache != nullptr) {
+    // The warm artifacts are built directly and inserted with Put*: the
+    // promise/future build dedup of the Get* lookups measured at about
+    // half the warmup cost per entry. Keys use the CLAMPED part count,
+    // exactly as the join methods do, so the first query's lookups hit.
+    const Community& community = *entry.community;
+    const uint32_t parts =
+        Encoder::ClampParts(options_.warm_parts, community.d());
+    if (pending.encoded_b == nullptr || pending.encoded_a == nullptr) {
+      const Encoder& encoder =
+          WarmEncoder(community.d(), options_.warm_eps, options_.warm_parts);
+      if (pending.encoded_b == nullptr) {
+        pending.encoded_b =
+            std::make_shared<const EncodedB>(community, encoder);
+      }
+      if (pending.encoded_a == nullptr) {
+        pending.encoded_a =
+            std::make_shared<const EncodedA>(community, encoder);
+      }
+    }
+    options_.cache->PutEncodedB(entry.digest, options_.warm_eps, parts,
+                                std::move(pending.encoded_b));
+    options_.cache->PutEncodedA(entry.digest, options_.warm_eps, parts,
+                                std::move(pending.encoded_a));
+  }
+  return entry;
+}
+
+void CommunityCatalog::PrepareSketch(CatalogEntry* entry) const {
+  if (signature_index_ == nullptr || entry->signature != nullptr) return;
+  // The digest's exact max counter feeds the radix key width, saving
+  // the builder its own max-scan pass.
+  thread_local SketchScratch scratch;
+  entry->signature = std::make_shared<const CommunitySignature>(
+      *entry->community, signature_index_->options(), &scratch,
+      entry->digest.max_counter);
+}
+
+void CommunityCatalog::InstallShard(uint32_t shard_index,
+                                    std::span<CatalogEntry> entries,
+                                    std::span<const uint32_t> members,
+                                    bool notify) {
   Shard& shard = shards_[shard_index];
+  std::vector<SignatureIndex::SlotInstall> installs;
+  if (signature_index_ != nullptr) {
+    installs.reserve(members.size());
+    for (const uint32_t i : members) {
+      installs.push_back(
+          {entries[i].id, entries[i].version, entries[i].signature});
+    }
+  }
   // Mutation clock: `started` ticks BEFORE the install is visible to any
-  // reader, `finished` after it is complete — the expensive lock-free
-  // pre-work above changes no catalog state, so it stays outside the
-  // started/finished window and tagged readers are not invalidated by it.
+  // reader, `finished` after it is complete. The lock-free prepare work
+  // changes no catalog state, so it stays outside the window and tagged
+  // readers are not invalidated by it.
   mutations_started_.fetch_add(1, std::memory_order_acq_rel);
   {
     std::unique_lock lock(shard.mu);
-    shard.entries[id] = entry;
+    // Journal and sink first, in member order, while the entries still
+    // hold their community pointers (the move loop below strips them).
+    // Same critical section as the install, so neither order can
+    // contradict the install order readers observe.
+    if (notify) {
+      for (const uint32_t i : members) {
+        const CatalogEntry& entry = entries[i];
+        if (mutation_log_ != nullptr) {
+          AppendMutation(entry.id, entry.version, /*remove=*/false);
+        }
+        if (mutation_sink_) {
+          mutation_sink_(
+              {entry.id, entry.version, /*remove=*/false, entry.community});
+        }
+      }
+    }
+    for (const uint32_t i : members) {
+      // Duplicate ids overwrite in member order: last wins, as a
+      // sequential Upsert replay would. The end hint makes each insert
+      // O(1) for ascending ids; others fall back to a plain tree insert.
+      const uint64_t id = entries[i].id;
+      shard.entries.insert_or_assign(shard.entries.end(), id,
+                                     std::move(entries[i]));
+    }
     // Entry map and sketch store commit in one critical section, so a
     // probe (under the shared lock) always sees them in agreement.
     if (signature_index_ != nullptr) {
-      signature_index_->Install(shard_index, id, entry.version,
-                                entry.signature);
-    }
-    // Logged inside the critical section so the log's per-id order can
-    // never contradict the install order readers observe.
-    if (mutation_log_ != nullptr) {
-      AppendMutation(id, entry.version, /*remove=*/false);
-    }
-    // The durable-log seam observes the same ordering point.
-    if (mutation_sink_) {
-      mutation_sink_({id, entry.version, /*remove=*/false, entry.community});
+      signature_index_->InstallBatch(shard_index, installs);
     }
   }
   mutations_finished_.fetch_add(1, std::memory_order_acq_rel);
+}
+
+void CommunityCatalog::InstallByShard(std::span<CatalogEntry> entries,
+                                      bool notify) {
+  const auto n = static_cast<uint32_t>(entries.size());
+  std::vector<std::vector<uint32_t>> by_shard(shards_.size());
+  for (auto& members : by_shard) {
+    members.reserve(n / shards_.size() + n / (4 * shards_.size()) + 8);
+  }
+  for (uint32_t i = 0; i < n; ++i) {
+    by_shard[ShardIndexOf(entries[i].id)].push_back(i);
+  }
+  // Serial over shards, so the whole-batch journal order is deterministic
+  // too. Each completed shard flip is a stable state for tagged readers.
+  for (uint32_t shard_index = 0; shard_index < shards_.size();
+       ++shard_index) {
+    if (by_shard[shard_index].empty()) continue;
+    InstallShard(shard_index, entries, by_shard[shard_index], notify);
+  }
+}
+
+uint64_t CommunityCatalog::Upsert(uint64_t id, Community community) {
+  CSJ_CHECK(!community.empty()) << "catalog entries must be non-empty";
+  // Prepare inline and OUTSIDE any lock: digesting is O(n*d) and the
+  // encoders and the sketch sort the whole community, so holding a shard
+  // lock across them would stall every reader of the shard.
+  CatalogEntry entry = PrepareEncodings(
+      Fresh(id, 0, std::make_shared<const Community>(std::move(community))),
+      /*digested=*/false);
+  PrepareSketch(&entry);
+  entry.version = next_version_.fetch_add(1, std::memory_order_acq_rel);
+  const uint64_t version = entry.version;
+  const uint32_t member = 0;
+  InstallShard(ShardIndexOf(id), {&entry, 1}, {&member, 1}, /*notify=*/true);
   upserts_.fetch_add(1, std::memory_order_relaxed);
-  return entry.version;
+  return version;
 }
 
 uint64_t CommunityCatalog::BulkLoad(
@@ -178,109 +304,43 @@ uint64_t CommunityCatalog::BulkLoad(
   util::ThreadPool& pool = util::ThreadPool::Global();
   std::vector<CatalogEntry> entries(n);
 
-  // Three warm artifacts land in the cache per entry; pre-sizing its
+  // Two warm artifacts land in the cache per entry; pre-sizing its
   // shard tables once removes every incremental rehash from the waves.
   if (options_.cache != nullptr) {
-    options_.cache->Reserve(static_cast<size_t>(n) * 3);
+    options_.cache->Reserve(static_cast<size_t>(n) * 2);
   }
 
-  // The encode and sketch waves read the same counter buffers, so they
-  // run in cache-sized chunks: at catalog scale a full-batch wave 2
-  // would find every community long since evicted and re-stream the
-  // whole catalog from DRAM, while a ~9 MB chunk is still LLC-resident
-  // from wave 1. Phase timers accumulate across chunks.
+  // The two prepare stages read the same counter buffers, so they run as
+  // waves over cache-sized chunks: at catalog scale a full-batch sketch
+  // wave would find every community long since evicted and re-stream
+  // the whole catalog from DRAM, while a ~9 MB chunk is still
+  // LLC-resident from the encode wave. Phase timers accumulate across
+  // chunks. Knowing the next community (and prefetching it) is a
+  // batch-only luxury the per-entry Upsert path has no equivalent of.
   constexpr uint32_t kWaveChunk = 2048;
   double encode_seconds = 0.0;
   double sketch_seconds = 0.0;
   util::Timer phase_timer;
   for (uint32_t chunk = 0; chunk < n; chunk += kWaveChunk) {
     const uint32_t count = std::min(kWaveChunk, n - chunk);
-
-    // Wave 1 — adopt the frozen buffers, digest, warm the encoding
-    // cache. The warm artifacts are built directly and bulk-inserted
-    // (EncodingCache::Put*): the batch has no duplicate keys to dedup,
-    // so GetOrBuild's promise/future machinery would be pure overhead
-    // here (measured at ~half the warmup cost per entry).
     phase_timer.Reset();
     pool.Run(count, [&](uint32_t t) {
       const uint32_t i = chunk + t;
-      CatalogEntry& entry = entries[i];
-      entry.id = batch[i].first;
-      entry.version = base + i;
-      entry.community = std::move(batch[i].second);
-      // Stream the next entry's counters toward the cache while this
-      // entry is encoded: the digest is each buffer's first touch since
-      // the generator built it, and with ~20 KB of artifact traffic
-      // between touches the hardware prefetcher never re-arms, leaving
-      // that first walk latency-bound (measured ~3x slower than the
-      // prefetched walk). Knowing the next community is a batch-only
-      // luxury the per-entry Upsert path has no equivalent of.
-      if (i + 1 < n && batch[i + 1].second != nullptr) {
-        const auto next = batch[i + 1].second->flat();
-        for (size_t b = 0; b < next.size(); b += 16) {
-          __builtin_prefetch(&next[b]);
-        }
-      }
-      entry.digest = DigestCommunity(*entry.community);
-      if (options_.cache != nullptr) {
-        // Batches are near-always one dimensionality, so the encoder
-        // (whose constructor allocates its part-boundary table) is
-        // memoized per thread instead of rebuilt per entry. The memo
-        // keys on the raw construction parameters: the thread_local
-        // outlives this BulkLoad and must not leak across catalogs
-        // configured with different warm options.
-        struct EncoderMemo {
-          std::unique_ptr<Encoder> encoder;
-          Dim d = 0;
-          Epsilon eps = 0;
-          uint32_t parts = 0;
-        };
-        thread_local EncoderMemo memo;
-        if (memo.encoder == nullptr || memo.d != entry.community->d() ||
-            memo.eps != options_.warm_eps ||
-            memo.parts != options_.warm_parts) {
-          memo.encoder = std::make_unique<Encoder>(
-              entry.community->d(), options_.warm_eps, options_.warm_parts);
-          memo.d = entry.community->d();
-          memo.eps = options_.warm_eps;
-          memo.parts = options_.warm_parts;
-        }
-        const Encoder& encoder = *memo.encoder;
-        options_.cache->PutEncodedB(
-            entry.digest, options_.warm_eps, encoder.parts(),
-            std::make_shared<const EncodedB>(*entry.community, encoder));
-        options_.cache->PutEncodedA(
-            entry.digest, options_.warm_eps, encoder.parts(),
-            std::make_shared<const EncodedA>(*entry.community, encoder));
-        auto window = std::make_shared<VerifyWindow>();
-        window->Assign(entry.community->size(), entry.community->d(),
-                       [&](uint32_t u) { return entry.community->User(u); });
-        options_.cache->PutCommunityWindow(entry.digest, std::move(window));
-      }
+      // The buffer is copied, not moved, out of the batch: the tasks for
+      // i - 1 of both waves read batch[i] for their prefetch.
+      if (i + 1 < n) PrefetchCounters(*batch[i + 1].second);
+      entries[i] =
+          PrepareEncodings(Fresh(batch[i].first, base + i, batch[i].second),
+                           /*digested=*/false);
     });
     encode_seconds += phase_timer.Seconds();
 
-    // Wave 2 — sketches through the scratch-reusing fast builder
-    // (byte-identical to the reference constructor Upsert uses). The
-    // digest's exact max counter feeds the radix key width, saving the
-    // builder its own max-scan pass.
     phase_timer.Reset();
     if (signature_index_ != nullptr) {
       pool.Run(count, [&](uint32_t t) {
         const uint32_t i = chunk + t;
-        // Same next-entry stream prefetch as wave 1: the chunk keeps
-        // these buffers LLC-resident, but the artifact writes between
-        // touches still de-arm the hardware prefetcher.
-        if (i + 1 < n && entries[i + 1].community != nullptr) {
-          const auto next = entries[i + 1].community->flat();
-          for (size_t b = 0; b < next.size(); b += 16) {
-            __builtin_prefetch(&next[b]);
-          }
-        }
-        thread_local SketchScratch scratch;
-        entries[i].signature = std::make_shared<const CommunitySignature>(
-            *entries[i].community, signature_index_->options(), &scratch,
-            entries[i].digest.max_counter);
+        if (i + 1 < n) PrefetchCounters(*batch[i + 1].second);
+        PrepareSketch(&entries[i]);
       });
     }
     sketch_seconds += phase_timer.Seconds();
@@ -290,71 +350,8 @@ uint64_t CommunityCatalog::BulkLoad(
     stats->sketch_seconds = sketch_seconds;
   }
 
-  // Install — group elements by shard (batch order preserved within a
-  // shard, so duplicate ids replay with last-wins semantics), then one
-  // exclusive lock + one batched index install per shard. Each shard's
-  // install is bracketed by its own mutation-clock tick: every completed
-  // shard flip is a stable state for tagged readers.
   phase_timer.Reset();
-  std::vector<std::vector<uint32_t>> by_shard(shards_.size());
-  for (auto& members : by_shard) {
-    members.reserve(n / shards_.size() + n / (4 * shards_.size()) + 8);
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    by_shard[ShardIndexOf(entries[i].id)].push_back(i);
-  }
-  std::vector<SignatureIndex::SlotInstall> installs;
-  for (uint32_t shard_index = 0; shard_index < shards_.size();
-       ++shard_index) {
-    const std::vector<uint32_t>& members = by_shard[shard_index];
-    if (members.empty()) continue;
-    Shard& shard = shards_[shard_index];
-    if (signature_index_ != nullptr) {
-      installs.clear();
-      installs.reserve(members.size());
-      for (const uint32_t i : members) {
-        installs.push_back(
-            {entries[i].id, entries[i].version, entries[i].signature});
-      }
-    }
-    mutations_started_.fetch_add(1, std::memory_order_acq_rel);
-    {
-      std::unique_lock lock(shard.mu);
-      // Sink first, in member (= batch) order, while the entries still
-      // hold their community pointers — the move loop below strips them.
-      // Same critical section, so sink order still equals install order.
-      if (mutation_sink_) {
-        for (const uint32_t i : members) {
-          mutation_sink_({entries[i].id, entries[i].version,
-                          /*remove=*/false, entries[i].community});
-        }
-      }
-      for (const uint32_t i : members) {
-        // Entries are single-use here: moving skips three shared_ptr
-        // refcount round-trips per element. (Duplicate ids overwrite in
-        // batch order — last wins, as a sequential Upsert replay would.)
-        // The end hint makes each insert O(1) for the common ascending-id
-        // batch; out-of-order ids just fall back to a plain tree insert.
-        const uint64_t id = entries[i].id;
-        shard.entries.insert_or_assign(shard.entries.end(), id,
-                                       std::move(entries[i]));
-      }
-      if (signature_index_ != nullptr) {
-        signature_index_->InstallBatch(shard_index, installs);
-      }
-      if (mutation_log_ != nullptr) {
-        // Member order within the shard is batch order, so for any one
-        // id the log replays the same last-wins sequence the entry map
-        // applied. (The install loop over shards is serial, so the
-        // whole-batch log order is deterministic too.)
-        for (const uint32_t i : members) {
-          AppendMutation(entries[i].id, entries[i].version,
-                         /*remove=*/false);
-        }
-      }
-    }
-    mutations_finished_.fetch_add(1, std::memory_order_acq_rel);
-  }
+  InstallByShard(entries, /*notify=*/true);
   if (stats != nullptr) stats->install_seconds = phase_timer.Seconds();
   upserts_.fetch_add(n, std::memory_order_relaxed);
   return base + n - 1;
@@ -375,105 +372,29 @@ uint64_t CommunityCatalog::RestoreBatch(std::vector<RestoredEntry> batch,
   }
   CSJ_CHECK_GE(next_version, 1u);
 
-  util::ThreadPool& pool = util::ThreadPool::Global();
   std::vector<CatalogEntry> entries(n);
-  if (options_.cache != nullptr) {
-    options_.cache->Reserve(static_cast<size_t>(n) * 3);
+  if (options_.cache != nullptr && n > 0) {
+    options_.cache->Reserve(static_cast<size_t>(n) * 2);
   }
 
-  // One wave, not BulkLoad's two: the common restore has every derived
-  // artifact already reconstructed (zero-copy views over the mapped
-  // segment), so per entry this is three cache inserts and two
-  // shared_ptr adoptions. Only log-tail entries — whose artifacts were
-  // never checkpointed — pay a build, through the exact builders Upsert
-  // uses, so the recovered bytes match what the writer held.
+  // One wave, not BulkLoad's two: the common restore adopts every
+  // derived artifact (zero-copy views over the mapped segment), so per
+  // entry this is two cache inserts and two shared_ptr adoptions. Only
+  // log-tail entries, whose artifacts were never checkpointed, pay a
+  // build, through the same prepare step Upsert uses, so the recovered
+  // bytes match what the writer held.
   util::Timer phase_timer;
-  if (signature_index_ != nullptr || options_.cache != nullptr || n > 0) {
-    pool.Run(n, [&](uint32_t i) {
-      RestoredEntry& restored = batch[i];
-      CatalogEntry& entry = entries[i];
-      entry.id = restored.id;
-      entry.version = restored.version;
-      entry.community = std::move(restored.community);
-      entry.digest = restored.digest;
-      if (options_.cache != nullptr) {
-        const Encoder encoder(entry.community->d(), options_.warm_eps,
-                              options_.warm_parts);
-        std::shared_ptr<const EncodedB> encoded_b =
-            std::move(restored.encoded_b);
-        if (encoded_b == nullptr) {
-          encoded_b =
-              std::make_shared<const EncodedB>(*entry.community, encoder);
-        }
-        std::shared_ptr<const EncodedA> encoded_a =
-            std::move(restored.encoded_a);
-        if (encoded_a == nullptr) {
-          encoded_a =
-              std::make_shared<const EncodedA>(*entry.community, encoder);
-        }
-        std::shared_ptr<const VerifyWindow> window = std::move(restored.window);
-        if (window == nullptr) {
-          auto built = std::make_shared<VerifyWindow>();
-          built->Assign(entry.community->size(), entry.community->d(),
-                        [&](uint32_t u) { return entry.community->User(u); });
-          window = std::move(built);
-        }
-        options_.cache->PutEncodedB(entry.digest, options_.warm_eps,
-                                    encoder.parts(), std::move(encoded_b));
-        options_.cache->PutEncodedA(entry.digest, options_.warm_eps,
-                                    encoder.parts(), std::move(encoded_a));
-        options_.cache->PutCommunityWindow(entry.digest, std::move(window));
-      }
-      if (signature_index_ != nullptr) {
-        entry.signature = std::move(restored.signature);
-        if (entry.signature == nullptr) {
-          thread_local SketchScratch scratch;
-          entry.signature = std::make_shared<const CommunitySignature>(
-              *entry.community, signature_index_->options(), &scratch,
-              entry.digest.max_counter);
-        }
-      }
-    });
-  }
+  util::ThreadPool::Global().Run(n, [&](uint32_t i) {
+    entries[i] = PrepareEncodings(std::move(batch[i]), /*digested=*/true);
+    PrepareSketch(&entries[i]);
+  });
   if (stats != nullptr) stats->encode_seconds = phase_timer.Seconds();
 
-  // Install exactly as BulkLoad does — per-shard exclusive sections in
-  // batch order — so the recovered index pack layout replays the
-  // writer's install history. No journal append and no sink: a restore
-  // replays durable history, it does not create any.
+  // Batch order within each shard replays the writer's install history,
+  // so the recovered index pack layout matches. No journal append and
+  // no sink: a restore replays durable history, it does not create any.
   phase_timer.Reset();
-  std::vector<std::vector<uint32_t>> by_shard(shards_.size());
-  for (uint32_t i = 0; i < n; ++i) {
-    by_shard[ShardIndexOf(entries[i].id)].push_back(i);
-  }
-  std::vector<SignatureIndex::SlotInstall> installs;
-  for (uint32_t shard_index = 0; shard_index < shards_.size();
-       ++shard_index) {
-    const std::vector<uint32_t>& members = by_shard[shard_index];
-    if (members.empty()) continue;
-    Shard& shard = shards_[shard_index];
-    if (signature_index_ != nullptr) {
-      installs.clear();
-      installs.reserve(members.size());
-      for (const uint32_t i : members) {
-        installs.push_back(
-            {entries[i].id, entries[i].version, entries[i].signature});
-      }
-    }
-    mutations_started_.fetch_add(1, std::memory_order_acq_rel);
-    {
-      std::unique_lock lock(shard.mu);
-      for (const uint32_t i : members) {
-        const uint64_t id = entries[i].id;
-        shard.entries.insert_or_assign(shard.entries.end(), id,
-                                       std::move(entries[i]));
-      }
-      if (signature_index_ != nullptr) {
-        signature_index_->InstallBatch(shard_index, installs);
-      }
-    }
-    mutations_finished_.fetch_add(1, std::memory_order_acq_rel);
-  }
+  InstallByShard(entries, /*notify=*/false);
   if (stats != nullptr) stats->install_seconds = phase_timer.Seconds();
 
   // Resume the writer's version sequence. fetch_max semantics: restore

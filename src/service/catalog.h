@@ -40,10 +40,11 @@ struct CatalogEntry {
   /// one), so "did this entry change since I looked?" is one compare.
   uint64_t version = 0;
   std::shared_ptr<const Community> community;
-  /// Content fingerprint + max counter, precomputed once at Upsert so
-  /// queries hitting the encoding cache never re-scan the counters.
+  /// Content fingerprint + max counter, computed once at install. The
+  /// persist layer seals it and the sketch builder reads max_counter;
+  /// joins still re-digest both sides on every call.
   CommunityDigest digest;
-  /// Prescreen sketch, built at Upsert when the catalog has a signature
+  /// Prescreen sketch, built at install when the catalog has a signature
   /// index configured (null otherwise). Frozen with the community.
   std::shared_ptr<const CommunitySignature> signature;
 };
@@ -140,18 +141,21 @@ class LiveCoupleSession {
 /// upsert may legitimately see either state); anything needing stronger
 /// ordering keys off entry versions, which are catalog-wide monotonic.
 ///
-/// Warmup: when a `cache` is configured, Upsert pre-builds the entry's
-/// MinMax encoded buffers (both sides) and its Baseline SoA window for
-/// (warm_eps, warm_parts) OUTSIDE any shard lock, so the first query
-/// against a fresh entry pays no encoding build on the serving path.
+/// Warmup: when a `cache` is configured, every install pre-builds the
+/// entry's MinMax encoded buffers (both sides) for (warm_eps, warm_parts)
+/// OUTSIDE any shard lock, so the first Ex-MinMax query against a fresh
+/// entry pays no encoding build on the serving path. Nothing is warmed
+/// for the Baseline methods: their community window is built on the
+/// first Baseline join (EncodingCache::GetCommunityWindow).
 class CommunityCatalog {
  public:
   struct Options {
     /// Lock shards; clamped to >= 1. 8 is plenty below ~10^2 workers.
     uint32_t shards = 8;
     /// Optional encoding cache to warm entries into (not owned; must
-    /// outlive the catalog). Queries wanting the warmed buffers must use
-    /// the same cache via JoinOptions::cache.
+    /// outlive the catalog): every install puts the entry's EncodedB and
+    /// EncodedA for (warm_eps, clamped warm_parts) there. Queries wanting
+    /// the warmed buffers must use the same cache via JoinOptions::cache.
     EncodingCache* cache = nullptr;
     /// Parameters the warmup builds for; align them with the serving
     /// JoinOptions or the first query still builds its own.
@@ -187,7 +191,7 @@ class CommunityCatalog {
   /// Per-phase accounting of one BulkLoad call.
   struct BulkLoadStats {
     uint64_t entries = 0;
-    double encode_seconds = 0.0;   ///< freeze + digest + cache warm wave
+    double encode_seconds = 0.0;   ///< digest + cache warm wave
     double sketch_seconds = 0.0;   ///< signature build wave
     double install_seconds = 0.0;  ///< per-shard locked install phase
   };
@@ -226,7 +230,7 @@ class CommunityCatalog {
   /// One entry of a RestoreBatch() call: a fully reconstructed catalog
   /// entry carrying its ORIGINAL version plus any pre-built derived
   /// artifacts. `signature` may be null (built at restore when the
-  /// catalog has a signature index); the three warm-cache artifacts may
+  /// catalog has a signature index); the two warm-cache artifacts may
   /// individually be null (built at restore when a cache is configured).
   struct RestoredEntry {
     uint64_t id = 0;
@@ -236,7 +240,6 @@ class CommunityCatalog {
     std::shared_ptr<const CommunitySignature> signature;
     std::shared_ptr<const EncodedB> encoded_b;
     std::shared_ptr<const EncodedA> encoded_a;
-    std::shared_ptr<const VerifyWindow> window;
   };
 
   /// Recovery fast path: installs every entry of `batch` under its
@@ -248,13 +251,15 @@ class CommunityCatalog {
   ///
   /// Entry ids must be unique and versions unique and < `next_version`;
   /// batch order is the install order within each shard, which a persist
-  /// layer uses to replay the writer's exact index pack layout. Warm
-  /// artifacts provided on an entry are bulk-inserted into the cache
-  /// as-is (keyed on warm_eps / clamped warm_parts); absent ones are
-  /// built, byte-identical to what Upsert would have produced. The
-  /// mutation SINK is deliberately not invoked — a restore replays the
-  /// durable log, it must not re-append to it — and the in-RAM journal
-  /// stays empty: it is bounded history, not state, and consumers
+  /// layer uses to replay the writer's exact index pack layout. Entries
+  /// go through the same prepare step and per-shard install section as
+  /// Upsert and BulkLoad, except that the given digest is trusted and
+  /// the provided EncodedB/EncodedA and sketch are adopted as-is (keyed
+  /// on warm_eps / clamped warm_parts); absent ones are built,
+  /// byte-identical to what Upsert would have produced. The mutation
+  /// SINK is deliberately not invoked — a restore replays the durable
+  /// log, it must not re-append to it — and the in-RAM journal stays
+  /// empty: it is bounded history, not state, and consumers
   /// resynchronize via mutation_seq() cursors.
   uint64_t RestoreBatch(std::vector<RestoredEntry> batch,
                         uint64_t next_version, BulkLoadStats* stats = nullptr);
@@ -409,6 +414,27 @@ class CommunityCatalog {
   const Shard& ShardOf(uint64_t id) const;
   Shard& ShardOf(uint64_t id);
   void AppendMutation(uint64_t id, uint64_t version, bool remove);
+
+  /// The prepare step every install path runs OUTSIDE any lock, in two
+  /// stages so BulkLoad can time them as separate waves. Stage one
+  /// adopts `pending`'s frozen community (id and version are copied,
+  /// callers may still assign the version), digests it unless
+  /// `digested`, warms the cache with the adopted-or-built EncodedB and
+  /// EncodedA, and carries an adopted sketch over. Stage two builds the
+  /// sketch, through the scratch-reusing builder, when none was adopted.
+  CatalogEntry PrepareEncodings(RestoredEntry&& pending, bool digested) const;
+  void PrepareSketch(CatalogEntry* entry) const;
+
+  /// The per-shard install section every install path shares: under the
+  /// shard's exclusive lock, moves `entries[i]` for each i of `members`
+  /// (all of shard `shard_index`, in install order) into the entry map
+  /// and the signature index, bracketed by one mutation-clock tick.
+  /// With `notify`, each install also reaches the journal and the sink.
+  void InstallShard(uint32_t shard_index, std::span<CatalogEntry> entries,
+                    std::span<const uint32_t> members, bool notify);
+  /// Groups `entries` by shard (batch order kept within a shard, so
+  /// duplicate ids replay last-wins) and runs InstallShard per shard.
+  void InstallByShard(std::span<CatalogEntry> entries, bool notify);
 
   Options options_;
   std::vector<Shard> shards_;

@@ -39,17 +39,14 @@ struct TopKOptions {
   /// against; results are identical either way, only work differs.
   bool use_bound_cutoff = true;
 
-  /// Exact joins executed per refine wave. Within a wave, joins run as
-  /// pool tasks in cost-aware (most-expensive-first) order; between
-  /// waves the cutoff re-checks. 0 = auto: the applied thread count, so
-  /// a serial query degenerates to the classic one-at-a-time walk with
-  /// the tightest possible cutoff. Larger batches trade a few extra
-  /// refinements for fewer pool round-trips; results never change.
-  uint32_t batch_size = 0;
-
   /// Threads applied WITHIN this query (bound phase + each refine wave).
   /// 1 = fully inline, no pool interaction — a server running many
   /// concurrent requests gets its parallelism across requests instead.
+  /// The applied count (capped by the pool) is also the number of exact
+  /// joins per refine wave: within a wave, joins run as pool tasks in
+  /// cost-aware (most-expensive-first) order; between waves the cutoff
+  /// re-checks. A serial query is the classic one-at-a-time walk with
+  /// the tightest possible cutoff; results never change.
   uint32_t query_threads = 1;
 
   /// Pool override; null = ThreadPool::Global().

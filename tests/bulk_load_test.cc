@@ -2,11 +2,13 @@
 // must leave the catalog, the encoding cache, and the signature index in
 // a state BYTE-IDENTICAL to a sequential Upsert replay of the same batch
 // — same versions, same digests, same sketch tables, same probe verdicts
-// — across shard counts, duplicate ids, and pre-populated catalogs. The
-// suite also pins the zero-copy overload's no-copy guarantee, the fast
-// sketch builder's equivalence to the reference constructor on the hint,
-// no-hint, and wide-counter fallback paths, and index/entry-map agreement
-// under concurrent churn racing a BulkLoad (the TSan target).
+// — across shard counts, duplicate ids, and pre-populated catalogs, and
+// must report the same per-shard mutation stream to the journal and the
+// sink (which a restore never feeds). The suite also pins the zero-copy
+// overload's no-copy guarantee, the fast sketch builder's equivalence to
+// the reference constructor on the hint, no-hint, and wide-counter
+// fallback paths, and index/entry-map agreement under concurrent churn
+// racing a BulkLoad (the TSan target).
 
 #include "service/catalog.h"
 
@@ -14,6 +16,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -160,14 +164,94 @@ CommunityCatalog::Options WithEverything(uint32_t shards,
   return options;
 }
 
+/// One mutation as the install section reported it, through the sink
+/// (with the installed counters) or the journal (without them).
+struct Notice {
+  uint64_t id = 0;
+  uint64_t version = 0;
+  bool remove = false;
+  std::vector<Count> counters;
+
+  friend bool operator==(const Notice&, const Notice&) = default;
+};
+
+/// Attaches a sink to `catalog` that appends every event to `out`.
+void RecordSink(CommunityCatalog* catalog, std::mutex* mu,
+                std::vector<Notice>* out) {
+  catalog->SetMutationSink([mu, out](const MutationEvent& event) {
+    std::lock_guard lock(*mu);
+    Notice notice{event.id, event.version, event.remove, {}};
+    if (event.community != nullptr) {
+      notice.counters.assign(event.community->flat().begin(),
+                             event.community->flat().end());
+    }
+    out->push_back(std::move(notice));
+  });
+}
+
+std::vector<Notice> JournalOf(const CommunityCatalog& catalog) {
+  std::vector<MutationRecord> records;
+  EXPECT_TRUE(catalog.ReadMutationsSince(0, &records));
+  std::vector<Notice> notices;
+  for (const MutationRecord& record : records) {
+    notices.push_back({record.id, record.version, record.remove, {}});
+  }
+  return notices;
+}
+
+/// Splits `notices` into per-shard sequences, order kept. Every noticed
+/// id must be resident; its shard is found through the signature index.
+std::vector<std::vector<Notice>> PerShard(const CommunityCatalog& catalog,
+                                          const std::vector<Notice>& notices) {
+  const SignatureIndex& index = *catalog.signature_index();
+  std::vector<std::vector<Notice>> shards(index.shards());
+  for (const Notice& notice : notices) {
+    uint32_t shard = 0;
+    uint64_t version = 0;
+    while (shard < index.shards() &&
+           index.Lookup(shard, notice.id, &version) == nullptr) {
+      ++shard;
+    }
+    EXPECT_LT(shard, index.shards()) << "id " << notice.id;
+    if (shard < index.shards()) shards[shard].push_back(notice);
+  }
+  return shards;
+}
+
+/// The (id, version, remove) part of `notices`, for comparing a sink
+/// stream against a journal stream.
+std::vector<Notice> WithoutCounters(std::vector<Notice> notices) {
+  for (Notice& notice : notices) notice.counters.clear();
+  return notices;
+}
+
 TEST(BulkLoadTest, MatchesSequentialUpsertAcrossShardCounts) {
   for (const uint32_t shards : {1u, 4u, 8u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    // The recorders outlive the catalogs whose sinks point at them.
+    std::mutex sink_mu;
+    std::vector<Notice> bulk_sink;
+    std::vector<Notice> seq_sink;
+    std::vector<Notice> restore_sink;
     EncodingCache bulk_cache;
     EncodingCache seq_cache;
-    CommunityCatalog bulk(WithEverything(shards, &bulk_cache));
-    CommunityCatalog sequential(WithEverything(shards, &seq_cache));
+    CommunityCatalog::Options bulk_options =
+        WithEverything(shards, &bulk_cache);
+    CommunityCatalog::Options seq_options =
+        WithEverything(shards, &seq_cache);
+    bulk_options.mutation_log_capacity = 1024;
+    seq_options.mutation_log_capacity = 1024;
+    CommunityCatalog bulk(bulk_options);
+    CommunityCatalog sequential(seq_options);
+    RecordSink(&bulk, &sink_mu, &bulk_sink);
+    RecordSink(&sequential, &sink_mu, &seq_sink);
 
-    const auto batch = MakeBatch(64, 100 + shards);
+    // Trailing replacements of earlier ids put duplicates in the batch.
+    auto batch = MakeBatch(64, 100 + shards);
+    for (uint32_t j = 0; j < 8; ++j) {
+      batch.emplace_back(batch[j * 5].first,
+                         MakeTestCommunity(14 + j, 9000 + shards * 10 + j));
+    }
     for (auto& [id, community] : CopyBatch(batch)) {
       sequential.Upsert(id, std::move(community));
     }
@@ -192,14 +276,65 @@ TEST(BulkLoadTest, MatchesSequentialUpsertAcrossShardCounts) {
                            encoder.parts(), nullptr);
         cache->GetEncodedA(*entry.community, entry.digest, 2,
                            encoder.parts(), nullptr);
-        cache->GetCommunityWindow(*entry.community, entry.digest, nullptr);
       }
       const EncodingCache::Stats after = cache->GetStats();
       EXPECT_EQ(after.misses, before.misses)
           << (catalog == &bulk ? "bulk" : "sequential")
           << " warmup left cold keys";
     }
+
+    // Notification contract: every install reaches the sink and the
+    // journal once, and per shard both arms report the same sequence,
+    // duplicate ids and installed counters included. Within an arm the
+    // journal and the sink agree record for record.
+    const std::vector<Notice> bulk_journal = JournalOf(bulk);
+    const std::vector<Notice> seq_journal = JournalOf(sequential);
+    EXPECT_EQ(bulk_sink.size(), batch.size());
+    EXPECT_EQ(seq_sink.size(), batch.size());
+    EXPECT_EQ(bulk_journal, WithoutCounters(bulk_sink));
+    EXPECT_EQ(seq_journal, WithoutCounters(seq_sink));
+    EXPECT_EQ(PerShard(bulk, bulk_sink), PerShard(sequential, seq_sink));
+    EXPECT_EQ(PerShard(bulk, bulk_journal),
+              PerShard(sequential, seq_journal));
+
+    // A restore replays durable history: it feeds neither stream.
+    EncodingCache restore_cache;
+    CommunityCatalog::Options restore_options = bulk_options;
+    restore_options.cache = &restore_cache;
+    CommunityCatalog restored(restore_options);
+    RecordSink(&restored, &sink_mu, &restore_sink);
+    std::vector<CommunityCatalog::RestoredEntry> image;
+    for (const CatalogEntry& entry : bulk.Snapshot()) {
+      CommunityCatalog::RestoredEntry restored_entry;
+      restored_entry.id = entry.id;
+      restored_entry.version = entry.version;
+      restored_entry.community = entry.community;
+      restored_entry.digest = entry.digest;
+      image.push_back(std::move(restored_entry));
+    }
+    restored.RestoreBatch(std::move(image), bulk.latest_version() + 1);
+    EXPECT_EQ(restored.size(), bulk.size());
+    EXPECT_TRUE(restore_sink.empty());
+    EXPECT_EQ(restored.mutation_seq(), 0u);
   }
+}
+
+TEST(BulkLoadTest, BatchSpanningSeveralWaveChunksMatchesSequential) {
+  // BulkLoad prepares in 2048-entry chunks and prefetches the next entry
+  // across chunk edges; a batch just past two chunks crosses both edges.
+  EncodingCache bulk_cache;
+  EncodingCache seq_cache;
+  CommunityCatalog bulk(WithEverything(4, &bulk_cache));
+  CommunityCatalog sequential(WithEverything(4, &seq_cache));
+  std::vector<std::pair<uint64_t, Community>> batch;
+  for (uint64_t id = 1; id <= 2 * 2048 + 3; ++id) {
+    batch.emplace_back(id, MakeTestCommunity(4, id));
+  }
+  for (auto& [id, community] : CopyBatch(batch)) {
+    sequential.Upsert(id, std::move(community));
+  }
+  bulk.BulkLoad(std::move(batch), nullptr);
+  ExpectCatalogsIdentical(bulk, sequential);
 }
 
 TEST(BulkLoadTest, DuplicateIdsReplayLastWins) {

@@ -16,11 +16,14 @@
 #include <gtest/gtest.h>
 
 #include "core/encoding_cache.h"
+#include "core/method.h"
 #include "core/signature.h"
 #include "data/generator.h"
 #include "persist/fsck.h"
+#include "persist/segment.h"
 #include "service/catalog.h"
 #include "service/deep_compare.h"
+#include "service/topk.h"
 #include "test_seed.h"
 #include "util/rng.h"
 
@@ -53,7 +56,10 @@ service::CommunityCatalog::Options CatalogOpts(EncodingCache* cache) {
 constexpr double kTau = 0.1;
 
 /// Restores the store's state into a fresh catalog (own cold cache) and
-/// requires deep byte-identity with `expected`.
+/// requires deep byte-identity with `expected`, plus byte-identical top-k
+/// rankings under the served method (Ex-MinMax, whose encodings the store
+/// seals) and under Ex-Baseline (whose community window is never sealed
+/// and gets built on first use on both sides).
 void ExpectRestoresIdentical(const std::string& dir,
                              const service::CommunityCatalog& expected) {
   StoreOptions options;
@@ -68,6 +74,23 @@ void ExpectRestoresIdentical(const std::string& dir,
   EXPECT_EQ(restored.latest_version(), expected.latest_version());
   EXPECT_TRUE(service::CatalogsIdentical(expected, restored,
                                          /*eps=*/2, kTau));
+
+  const service::TopKSimilarService live_service(&expected);
+  const service::TopKSimilarService restored_service(&restored);
+  const Community query = MakeTestCommunity(15, 4242);
+  for (const Method method : {Method::kExMinMax, Method::kExBaseline}) {
+    SCOPED_TRACE(MethodName(method));
+    service::TopKOptions topk;
+    topk.k = 5;
+    topk.method = method;
+    topk.join.eps = 2;
+    topk.join.cache = expected.options().cache;
+    const service::TopKResult live = live_service.Query(query, topk);
+    topk.join.cache = &cache;
+    const service::TopKResult recovered = restored_service.Query(query, topk);
+    EXPECT_FALSE(live.entries.empty());
+    EXPECT_EQ(recovered.entries, live.entries);
+  }
 }
 
 TEST(PersistStoreTest, FreshStoreOpensEmpty) {
@@ -110,6 +133,61 @@ TEST(PersistStoreTest, CheckpointRoundTripIsByteIdentical) {
   EXPECT_EQ(save.entries, catalog.size());
 
   ExpectRestoresIdentical(dir, catalog);
+}
+
+TEST(PersistStoreTest, SegmentWithRetiredWindowSectionStillRestores) {
+  // Segments sealed before the Baseline window left the warmup carry one
+  // more section, kind 24. Such a store must still restore byte-identical
+  // and verify clean: readers skip the retired section.
+  const std::string dir = FreshDir();
+  EncodingCache cache;
+  service::CommunityCatalog catalog(CatalogOpts(&cache));
+  for (uint64_t id = 1; id <= 10; ++id) {
+    catalog.Upsert(id, MakeTestCommunity(12 + static_cast<uint32_t>(id), id));
+  }
+  StoreOptions options;
+  options.dir = dir;
+  std::string error;
+  {
+    auto store = Store::Open(options, &error);
+    ASSERT_NE(store, nullptr) << error;
+    ASSERT_TRUE(store->Checkpoint(catalog, &error)) << error;
+  }
+
+  // Reseal seg-1 with every section plus a kind-24 section shaped like
+  // the old community windows (same length as the EncodedA windows).
+  const std::string seg = dir + "/seg-1.csj";
+  {
+    auto mapped = MappedSegment::Map(seg, false, false, &error);
+    ASSERT_NE(mapped, nullptr) << error;
+    std::vector<SectionSpec> sections;
+    for (const SectionDesc& desc : mapped->sections()) {
+      sections.push_back({static_cast<SectionKind>(desc.kind), desc.elem_size,
+                          mapped->data() + desc.offset, desc.byte_size});
+    }
+    const SectionDesc* windows = mapped->Find(SectionKind::kEncAWindow);
+    ASSERT_NE(windows, nullptr);
+    sections.push_back({static_cast<SectionKind>(24), 4,
+                        mapped->data() + windows->offset, windows->byte_size});
+    const SegmentHeader& header = mapped->header();
+    SegmentParams params;
+    params.entry_count = header.entry_count;
+    params.next_version = header.next_version;
+    params.warm_eps = header.warm_eps;
+    params.warm_parts = header.warm_parts;
+    params.sig_quantiles = header.sig_quantiles;
+    params.flags = header.flags;
+    ASSERT_TRUE(WriteSegment(seg + ".old", params, sections, &error)) << error;
+  }
+  ASSERT_EQ(std::rename((seg + ".old").c_str(), seg.c_str()), 0);
+
+  ExpectRestoresIdentical(dir, catalog);
+  FsckOptions fsck;
+  fsck.dir = dir;
+  FsckReport report;
+  ASSERT_TRUE(FsckStore(fsck, &report));
+  EXPECT_TRUE(report.clean())
+      << (report.findings.empty() ? "" : report.findings[0].message);
 }
 
 TEST(PersistStoreTest, LogTailReplaysOnTopOfSealedSegment) {

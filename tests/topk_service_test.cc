@@ -18,6 +18,7 @@
 #include "service/catalog.h"
 #include "test_seed.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace csj::service {
 namespace {
@@ -142,8 +143,10 @@ TEST(TopKServiceTest, CutoffIdenticalToExhaustiveRefine) {
 }
 
 TEST(TopKServiceTest, CutoffIdenticalUnderBatchedParallelWaves) {
-  // Wave batching (batch_size > 1, pool threads) refines extra candidates
-  // per wave; the merged ranking must not change.
+  // Parallel waves (query_threads > 1: one join per applied thread)
+  // refine extra candidates per wave; the merged ranking must not change.
+  // An own two-thread pool pins the wave size whatever the host's cores.
+  util::ThreadPool pool(2);
   uint64_t skipped = 0;
   uint64_t saved = 0;
   for (uint64_t s = 0; s < 16; ++s) {
@@ -163,8 +166,8 @@ TEST(TopKServiceTest, CutoffIdenticalUnderBatchedParallelWaves) {
 
     TopKOptions batched = serial;
     batched.use_bound_cutoff = true;
-    batched.batch_size = 2;
-    batched.query_threads = 4;
+    batched.query_threads = 2;
+    batched.pool = &pool;
     const TopKResult waved = service.Query(scenario.query, batched);
 
     ASSERT_EQ(waved.entries.size(), oracle.entries.size());

@@ -194,10 +194,6 @@ int main(int argc, char** argv) {
                "after the loop: checkpoint, re-open the store cold, "
                "restore into a scratch catalog and deep-verify byte "
                "identity; gates warm-load speedup >= 5x over populate");
-  flags.Define("persist_madvise", "true",
-               "MADV_WILLNEED on mapped segments");
-  flags.Define("persist_hugepages", "true",
-               "MADV_HUGEPAGE on mapped segments");
   flags.Define("seed", "42", "workload seed");
   flags.Define("json", "", "write the results as JSON to this path");
   flags.Define("git_sha", "", "source revision stamped into the JSON");
@@ -286,8 +282,6 @@ int main(int argc, char** argv) {
   if (!store_dir.empty()) {
     csj::persist::StoreOptions store_options;
     store_options.dir = store_dir;
-    store_options.use_madvise = flags.GetBool("persist_madvise");
-    store_options.use_hugepages = flags.GetBool("persist_hugepages");
     std::string store_error;
     store = csj::persist::Store::Open(store_options, &store_error,
                                       &open_stats);
@@ -634,8 +628,6 @@ int main(int argc, char** argv) {
     }
     csj::persist::StoreOptions reopen_options;
     reopen_options.dir = store_dir;
-    reopen_options.use_madvise = flags.GetBool("persist_madvise");
-    reopen_options.use_hugepages = flags.GetBool("persist_hugepages");
     auto reopened = csj::persist::Store::Open(reopen_options, &store_error,
                                               &reopen_stats);
     if (reopened == nullptr) {
@@ -970,8 +962,6 @@ int main(int argc, char** argv) {
     json.Key("warm_restart"); json.Bool(warm_loaded);
     json.Key("generation");
     json.Uint(store != nullptr ? store->generation() : 0);
-    json.Key("madvise"); json.Bool(flags.GetBool("persist_madvise"));
-    json.Key("hugepages"); json.Bool(flags.GetBool("persist_hugepages"));
     // Populate-vs-load: the wall time a warm restart skips.
     json.Key("populate_seconds"); json.Double(populate_seconds);
     json.Key("load_seconds"); json.Double(persist_load_seconds);
