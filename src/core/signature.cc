@@ -7,23 +7,15 @@
 
 #include "core/similarity.h"
 #include "util/logging.h"
-#include "util/rng.h"
 
 namespace csj {
 namespace {
 
-constexpr uint32_t kMinQuantiles = 2;
-constexpr uint32_t kMaxQuantiles = 256;
-
-uint32_t ClampQuantiles(uint32_t q) {
-  return std::clamp(q, kMinQuantiles, kMaxQuantiles);
-}
-
-/// Rank of breakpoint j over `sampled` sorted values: j * (sampled-1) / Q.
-/// Monotone in j, 0 at j = 0, sampled - 1 at j = Q.
-inline uint32_t RankOf(uint32_t j, uint32_t sampled, uint32_t quantiles) {
+/// Rank of breakpoint j over `n` sorted values: j * (n-1) / Q.
+/// Monotone in j, 0 at j = 0, n - 1 at j = Q.
+inline uint32_t RankOf(uint32_t j, uint32_t n, uint32_t quantiles) {
   return static_cast<uint32_t>(
-      (static_cast<uint64_t>(j) * (sampled - 1)) / quantiles);
+      (static_cast<uint64_t>(j) * (n - 1)) / quantiles);
 }
 
 /// Radix-sort all d columns at once through composite (dim << vbits) |
@@ -43,13 +35,12 @@ inline uint32_t RankOf(uint32_t j, uint32_t sampled, uint32_t quantiles) {
 /// store-to-forward chains whenever consecutive keys land in the same
 /// bucket (bucket 0 otherwise absorbs every zero).
 template <typename KeyT>
-void RadixRankExtract(const Community& community,
-                      const std::vector<UserId>& users, bool all_users,
-                      uint32_t sampled, Dim d, uint32_t vbits, uint32_t dbits,
+void RadixRankExtract(const Community& community, uint32_t n, Dim d,
+                      uint32_t vbits, uint32_t dbits,
                       uint32_t quantiles, const uint32_t* ranks,
                       std::vector<KeyT>& keys, std::vector<KeyT>& aux,
                       std::vector<uint32_t>& zeros, Count* table) {
-  const size_t total = static_cast<size_t>(d) * sampled;
+  const size_t total = static_cast<size_t>(d) * n;
   keys.resize(total);
   aux.resize(total);
   zeros.assign(d, 0);
@@ -66,8 +57,8 @@ void RadixRankExtract(const Community& community,
   // of mis-sketching.
   Count seen = 0;
   size_t p = 0;
-  for (uint32_t i = 0; i < sampled; ++i) {
-    const Count* row = community.User(all_users ? i : users[i]).data();
+  for (uint32_t i = 0; i < n; ++i) {
+    const Count* row = community.User(i).data();
     for (Dim k = 0; k < d; ++k) {
       const Count v = row[k];
       seen |= v;
@@ -95,7 +86,7 @@ void RadixRankExtract(const Community& community,
     }
   }
   // `zeros` held nonzero tallies during the sweep; flip it.
-  for (Dim k = 0; k < d; ++k) zeros[k] = sampled - zeros[k];
+  for (Dim k = 0; k < d; ++k) zeros[k] = n - zeros[k];
   KeyT* src = keys.data();
   KeyT* dst = aux.data();
   for (uint32_t pass = 0; pass < passes; ++pass) {
@@ -122,7 +113,7 @@ void RadixRankExtract(const Community& community,
       const uint32_t r = ranks[j];
       row[j] = r < z ? Count{0} : (static_cast<Count>(column[r - z]) & mask);
     }
-    col_start += sampled - z;
+    col_start += n - z;
   }
 }
 
@@ -135,36 +126,14 @@ CommunitySignature::CommunitySignature(const Community& community,
   d_ = community.d();
   quantiles_ = ClampQuantiles(options.quantiles);
 
-  // recall_target < 1: deterministic per-user coin from the seed and the
-  // user's position. The same (community, options) always sketches the
-  // same subset, independent of build thread or call order.
-  std::vector<UserId> users;
-  const double recall = std::clamp(options.recall_target, 0.0, 1.0);
-  if (recall >= 1.0) {
-    users.resize(n_);
-    std::iota(users.begin(), users.end(), UserId{0});
-  } else {
-    users.reserve(n_);
-    const uint64_t threshold = static_cast<uint64_t>(
-        recall * static_cast<double>(UINT64_MAX));
-    for (UserId u = 0; u < n_; ++u) {
-      uint64_t state = options.seed ^ (0xD1B54A32D192ED03ULL * (u + 1));
-      if (util::SplitMix64(state) <= threshold) users.push_back(u);
-    }
-    if (users.empty()) users.push_back(0);  // a sketch needs >= 1 user
-  }
-  sampled_ = static_cast<uint32_t>(users.size());
-
   std::vector<Count> table(static_cast<size_t>(d_) * (quantiles_ + 1));
-  std::vector<Count> column(sampled_);
+  std::vector<Count> column(n_);
   for (Dim k = 0; k < d_; ++k) {
-    for (uint32_t i = 0; i < sampled_; ++i) {
-      column[i] = community.User(users[i])[k];
-    }
+    for (uint32_t i = 0; i < n_; ++i) column[i] = community.User(i)[k];
     std::sort(column.begin(), column.end());
     Count* row = table.data() + static_cast<size_t>(k) * (quantiles_ + 1);
     for (uint32_t j = 0; j <= quantiles_; ++j) {
-      row[j] = column[RankOf(j, sampled_, quantiles_)];
+      row[j] = column[RankOf(j, n_, quantiles_)];
     }
   }
   table_ = std::move(table);
@@ -173,14 +142,12 @@ CommunitySignature::CommunitySignature(const Community& community,
 CommunitySignature::CommunitySignature(const TableView& view,
                                        std::shared_ptr<const void> owner)
     : n_(view.n),
-      sampled_(view.sampled),
       quantiles_(view.quantiles),
       d_(view.d),
       table_(ColumnStorage<Count>::View(
           view.table, static_cast<size_t>(view.d) * (view.quantiles + 1))),
       owner_(std::move(owner)) {
   CSJ_CHECK_GE(n_, 1u);
-  CSJ_CHECK_GE(sampled_, 1u);
   CSJ_CHECK_GE(d_, 1u);
   CSJ_CHECK_EQ(ClampQuantiles(quantiles_), quantiles_);
   CSJ_CHECK(view.table != nullptr);
@@ -195,22 +162,6 @@ CommunitySignature::CommunitySignature(const Community& community,
   n_ = community.size();
   d_ = community.d();
   quantiles_ = ClampQuantiles(options.quantiles);
-
-  // Same deterministic subset as the reference constructor.
-  std::vector<UserId>& users = scratch->users;
-  users.clear();
-  const double recall = std::clamp(options.recall_target, 0.0, 1.0);
-  const bool all_users = recall >= 1.0;
-  if (!all_users) {
-    const uint64_t threshold =
-        static_cast<uint64_t>(recall * static_cast<double>(UINT64_MAX));
-    for (UserId u = 0; u < n_; ++u) {
-      uint64_t state = options.seed ^ (0xD1B54A32D192ED03ULL * (u + 1));
-      if (util::SplitMix64(state) <= threshold) users.push_back(u);
-    }
-    if (users.empty()) users.push_back(0);  // a sketch needs >= 1 user
-  }
-  sampled_ = all_users ? n_ : static_cast<uint32_t>(users.size());
   std::vector<Count> table(static_cast<size_t>(d_) * (quantiles_ + 1));
 
   // A sketch is d order-statistic rows, one per counter column. Instead
@@ -222,33 +173,33 @@ CommunitySignature::CommunitySignature(const Community& community,
   // constructor's bytes exactly.
   Count max_counter = max_counter_hint;
   if (max_counter == 0) {
-    for (uint32_t i = 0; i < sampled_; ++i) {
-      const Count* row = community.User(all_users ? i : users[i]).data();
+    for (uint32_t i = 0; i < n_; ++i) {
+      const Count* row = community.User(i).data();
       for (Dim k = 0; k < d_; ++k) max_counter = std::max(max_counter, row[k]);
     }
   }
   const uint32_t vbits = std::bit_width(std::max(max_counter, Count{1}));
   const uint32_t dbits = d_ <= 1 ? 0 : std::bit_width(d_ - 1);
 
-  // Breakpoint ranks depend on (j, sampled, quantiles) only — hoist the
+  // Breakpoint ranks depend on (j, n, quantiles) only — hoist the
   // 64-bit divisions out of the per-dimension loops (d * (Q+1) of them
   // otherwise; the divider is the rank loop's hot instruction).
   uint32_t ranks[kMaxQuantiles + 1];
   for (uint32_t j = 0; j <= quantiles_; ++j) {
-    ranks[j] = RankOf(j, sampled_, quantiles_);
+    ranks[j] = RankOf(j, n_, quantiles_);
   }
 
   if (vbits + dbits <= 16) {
-    RadixRankExtract<uint16_t>(community, users, all_users, sampled_, d_,
-                               vbits, dbits, quantiles_, ranks,
+    RadixRankExtract<uint16_t>(community, n_, d_, vbits, dbits, quantiles_,
+                               ranks,
                                scratch->keys16, scratch->aux16,
                                scratch->zeros, table.data());
     table_ = std::move(table);
     return;
   }
   if (vbits + dbits <= 32) {
-    RadixRankExtract<Count>(community, users, all_users, sampled_, d_, vbits,
-                            dbits, quantiles_, ranks, scratch->columns,
+    RadixRankExtract<Count>(community, n_, d_, vbits, dbits, quantiles_,
+                            ranks, scratch->columns,
                             scratch->aux, scratch->zeros, table.data());
     table_ = std::move(table);
     return;
@@ -257,26 +208,26 @@ CommunitySignature::CommunitySignature(const Community& community,
   // Fallback for counters too wide to share a 32-bit key with the dim
   // tag: transpose once, then per-column sorts of the nonzero tail.
   std::vector<Count>& columns = scratch->columns;
-  columns.resize(static_cast<size_t>(d_) * sampled_);
-  for (uint32_t i = 0; i < sampled_; ++i) {
-    const Count* row = community.User(all_users ? i : users[i]).data();
+  columns.resize(static_cast<size_t>(d_) * n_);
+  for (uint32_t i = 0; i < n_; ++i) {
+    const Count* row = community.User(i).data();
     for (Dim k = 0; k < d_; ++k) {
-      columns[static_cast<size_t>(k) * sampled_ + i] = row[k];
+      columns[static_cast<size_t>(k) * n_ + i] = row[k];
     }
   }
   for (Dim k = 0; k < d_; ++k) {
-    Count* column = columns.data() + static_cast<size_t>(k) * sampled_;
+    Count* column = columns.data() + static_cast<size_t>(k) * n_;
     // Counters are unsigned, so the sorted column is a zero prefix
     // followed by the sorted nonzeros: compact the nonzeros to the
     // front, sort only them, and resolve ranks against the implicit
     // zero prefix.
     uint32_t nonzeros = 0;
-    for (uint32_t i = 0; i < sampled_; ++i) {
+    for (uint32_t i = 0; i < n_; ++i) {
       const Count v = column[i];
       if (v != 0) column[nonzeros++] = v;
     }
     std::sort(column, column + nonzeros);
-    const uint32_t zeros = sampled_ - nonzeros;
+    const uint32_t zeros = n_ - nonzeros;
     Count* row = table.data() + static_cast<size_t>(k) * (quantiles_ + 1);
     for (uint32_t j = 0; j <= quantiles_; ++j) {
       const uint32_t r = ranks[j];
@@ -286,7 +237,7 @@ CommunitySignature::CommunitySignature(const Community& community,
   table_ = std::move(table);
 }
 
-uint32_t SignatureCountUpperBound(std::span<const Count> row, uint32_t sampled,
+uint32_t SignatureCountUpperBound(std::span<const Count> row, uint32_t n,
                                   int64_t lo, int64_t hi) {
   const uint32_t quantiles = static_cast<uint32_t>(row.size()) - 1;
   if (hi < static_cast<int64_t>(row[0]) ||
@@ -295,10 +246,10 @@ uint32_t SignatureCountUpperBound(std::span<const Count> row, uint32_t sampled,
   }
   // Upper bound on count(value <= hi): the smallest breakpoint above hi
   // sits at rank r_j, so at most r_j values can be <= hi.
-  uint32_t ub_leq = sampled;
+  uint32_t ub_leq = n;
   for (uint32_t j = 0; j <= quantiles; ++j) {
     if (static_cast<int64_t>(row[j]) > hi) {
-      ub_leq = RankOf(j, sampled, quantiles);
+      ub_leq = RankOf(j, n, quantiles);
       break;
     }
   }
@@ -307,7 +258,7 @@ uint32_t SignatureCountUpperBound(std::span<const Count> row, uint32_t sampled,
   uint32_t lb_lt = 0;
   for (uint32_t j = quantiles + 1; j-- > 0;) {
     if (static_cast<int64_t>(row[j]) < lo) {
-      lb_lt = RankOf(j, sampled, quantiles) + 1;
+      lb_lt = RankOf(j, n, quantiles) + 1;
       break;
     }
   }
@@ -319,9 +270,8 @@ namespace {
 /// Shared sweep kernel over raw rows; `*_table` point at dimension-major
 /// rows of (quantiles + 1) breakpoints. Returns the certified cap, early
 /// exiting (same verdict, possibly looser value) below `early_exit_below`.
-double CapOverRows(const Count* query_table, uint32_t query_sampled,
-                   uint32_t query_size, const Count* entry_table,
-                   uint32_t entry_sampled, uint32_t entry_size,
+double CapOverRows(const Count* query_table, uint32_t query_size,
+                   const Count* entry_table, uint32_t entry_size,
                    uint32_t quantiles, Epsilon eps,
                    std::span<const Dim> probe_order,
                    double early_exit_below) {
@@ -337,11 +287,11 @@ double CapOverRows(const Count* query_table, uint32_t query_sampled,
     // Matched users of either side must land inside the other side's
     // eps-extended value span in this dimension.
     const uint32_t in_query = SignatureCountUpperBound(
-        {query_row, row_len}, query_sampled,
+        {query_row, row_len}, query_size,
         static_cast<int64_t>(entry_row[0]) - eps,
         static_cast<int64_t>(entry_row[quantiles]) + eps);
     const uint32_t in_entry = SignatureCountUpperBound(
-        {entry_row, row_len}, entry_sampled,
+        {entry_row, row_len}, entry_size,
         static_cast<int64_t>(query_row[0]) - eps,
         static_cast<int64_t>(query_row[quantiles]) + eps);
     ub = std::min(ub, std::min(in_query, in_entry));
@@ -360,9 +310,9 @@ double SignatureSimilarityCap(const CommunitySignature& query,
   CSJ_CHECK(query.quantiles() == entry.quantiles())
       << "signatures built with different resolutions";
   CSJ_CHECK(probe_order.size() == query.d());
-  return CapOverRows(query.table().data(), query.sampled(), query.size(),
-                     entry.table().data(), entry.sampled(), entry.size(),
-                     query.quantiles(), eps, probe_order, early_exit_below);
+  return CapOverRows(query.table().data(), query.size(),
+                     entry.table().data(), entry.size(), query.quantiles(),
+                     eps, probe_order, early_exit_below);
 }
 
 std::vector<Dim> SignatureProbeOrder(const CommunitySignature& query) {
@@ -394,7 +344,7 @@ Dim SignatureHomeDim(const CommunitySignature& signature) {
 SignatureIndex::SignatureIndex(uint32_t shards,
                                const SignatureOptions& options)
     : options_(options), shards_(std::max(shards, 1u)) {
-  options_.quantiles = ClampQuantiles(options_.quantiles);
+  options_.quantiles = CommunitySignature::ClampQuantiles(options_.quantiles);
 }
 
 void SignatureIndex::Install(uint32_t shard_index, uint64_t id,
@@ -427,7 +377,6 @@ void SignatureIndex::InstallSlot(
   pack.ids.push_back(id);
   pack.versions.push_back(version);
   pack.sizes.push_back(signature->size());
-  pack.sampled.push_back(signature->sampled());
   pack.table.insert(pack.table.end(), signature->table().begin(),
                     signature->table().end());
   // Widen the coarse summary (never shrink — see the header note).
@@ -481,7 +430,6 @@ void SignatureIndex::InstallBatch(uint32_t shard_index,
     pack.ids.reserve(target);
     pack.versions.reserve(target);
     pack.sizes.reserve(target);
-    pack.sampled.reserve(target);
     pack.table.reserve(target * stride);
     pack.signatures.reserve(target);
   }
@@ -513,7 +461,6 @@ void SignatureIndex::RemoveSlot(Shard& shard, PackKey key, uint32_t slot) {
     pack.ids[slot] = pack.ids[last];
     pack.versions[slot] = pack.versions[last];
     pack.sizes[slot] = pack.sizes[last];
-    pack.sampled[slot] = pack.sampled[last];
     std::memcpy(pack.table.data() + static_cast<size_t>(slot) * pack.stride,
                 pack.table.data() + static_cast<size_t>(last) * pack.stride,
                 static_cast<size_t>(pack.stride) * sizeof(Count));
@@ -523,7 +470,6 @@ void SignatureIndex::RemoveSlot(Shard& shard, PackKey key, uint32_t slot) {
   pack.ids.pop_back();
   pack.versions.pop_back();
   pack.sizes.pop_back();
-  pack.sampled.pop_back();
   pack.table.resize(pack.table.size() - pack.stride);
   pack.signatures.pop_back();
 }
@@ -561,7 +507,7 @@ bool DimProvesPackBelow(const CommunitySignature& query_sig, Epsilon eps,
   const int64_t pack_hi = static_cast<int64_t>(dim_max[k]);
   if (static_cast<int64_t>(row[quantiles]) + eps < pack_lo) return true;
   if (static_cast<int64_t>(row[0]) - eps > pack_hi) return true;
-  const uint32_t ub = SignatureCountUpperBound(row, query_sig.sampled(),
+  const uint32_t ub = SignatureCountUpperBound(row, query_sig.size(),
                                                pack_lo - eps, pack_hi + eps);
   return static_cast<double>(ub) / denom < threshold;
 }
@@ -634,10 +580,10 @@ void SignatureIndex::ProbeShard(uint32_t shard_index, const ProbeQuery& query,
         continue;
       }
       const double cap = CapOverRows(
-          query_sig.table().data(), query_sig.sampled(), query_size,
+          query_sig.table().data(), query_size,
           pack.table.data() + static_cast<size_t>(slot) * pack.stride,
-          pack.sampled[slot], entry_size, quantiles, query.eps,
-          query.probe_order, query.threshold);
+          entry_size, quantiles, query.eps, query.probe_order,
+          query.threshold);
       if (cap >= query.threshold) {
         ++stats->passed;
         out->push_back({pack.ids[slot], pack.versions[slot]});
@@ -672,7 +618,6 @@ size_t SignatureIndex::MemoryBytes() const {
       total += pack.ids.capacity() * sizeof(uint64_t) +
                pack.versions.capacity() * sizeof(uint64_t) +
                pack.sizes.capacity() * sizeof(uint32_t) +
-               pack.sampled.capacity() * sizeof(uint32_t) +
                pack.table.capacity() * sizeof(Count) +
                (pack.dim_min.capacity() + pack.dim_max.capacity()) *
                    sizeof(Count);

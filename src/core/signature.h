@@ -1,6 +1,7 @@
 #ifndef CSJ_CORE_SIGNATURE_H_
 #define CSJ_CORE_SIGNATURE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -50,25 +51,14 @@ namespace csj {
 /// threshold therefore has NO false dismissals among entries with true
 /// similarity >= threshold — the containment guarantee the serving
 /// fallback contract builds on (docs/API.md "Candidate generation").
+///
+/// Every user enters the sketch, so a sketch is a function of the
+/// community bytes and `quantiles` alone: same input, same table, on any
+/// thread count.
 struct SignatureOptions {
   /// Breakpoints per dimension (table stores quantiles + 1 values).
   /// More quantiles -> tighter caps, bigger sketch. Clamped to [2, 256].
   uint32_t quantiles = 16;
-
-  /// Recall control in the spirit of CPSJoin: at 1.0 (default) every
-  /// user enters the sketch and the containment guarantee above is exact.
-  /// Below 1.0 each community's users are subsampled (deterministically,
-  /// from `seed`) before the quantile tables are built — sketches build
-  /// faster and caps become estimates, so entries near the threshold may
-  /// be dismissed; expected recall degrades gracefully with the sampling
-  /// rate. Serving keeps 1.0; the knob exists for offline sweeps.
-  /// Clamped to (0, 1].
-  double recall_target = 1.0;
-
-  /// Seed for the recall_target subsampling. Signatures are functions of
-  /// (community bytes, options) only — same seed, same sketch, on any
-  /// thread count.
-  uint64_t seed = 0x5349474E41545552ULL;  // "SIGNATUR"
 };
 
 /// Reusable scratch for the bulk-ingestion sketch builder (one per
@@ -79,7 +69,6 @@ struct SketchScratch {
   std::vector<uint16_t> keys16;  ///< half-width keys (vbits + dbits <= 16)
   std::vector<uint16_t> aux16;   ///< half-width radix scatter buffer
   std::vector<uint32_t> zeros;   ///< per-dim zero-counter tallies
-  std::vector<UserId> users;     ///< sampled user ids (recall_target < 1)
 };
 
 /// One community's sketch: d equi-rank breakpoint rows, dimension-major.
@@ -113,7 +102,6 @@ class CommunitySignature {
   /// `quantiles` must already be the clamped value the builders stored.
   struct TableView {
     uint32_t n = 0;
-    uint32_t sampled = 0;
     uint32_t quantiles = 0;
     Dim d = 0;
     const Count* table = nullptr;
@@ -121,10 +109,16 @@ class CommunitySignature {
   CommunitySignature(const TableView& view,
                      std::shared_ptr<const void> owner);
 
-  /// True community size (admissibility checks, the cap's denominator).
+  static constexpr uint32_t kMaxQuantiles = 256;
+  /// The breakpoint count the builders sketch with: `quantiles` clamped
+  /// to [2, kMaxQuantiles]. Stored sketch tables are sized by this value.
+  static uint32_t ClampQuantiles(uint32_t quantiles) {
+    return std::clamp<uint32_t>(quantiles, 2, kMaxQuantiles);
+  }
+
+  /// Community size: the breakpoints' rank total, the admissibility
+  /// checks' size and the cap's denominator.
   uint32_t size() const { return n_; }
-  /// Users actually sketched (== size() at recall_target 1.0).
-  uint32_t sampled() const { return sampled_; }
   Dim d() const { return d_; }
   uint32_t quantiles() const { return quantiles_; }
 
@@ -144,7 +138,6 @@ class CommunitySignature {
 
  private:
   uint32_t n_ = 0;
-  uint32_t sampled_ = 0;
   uint32_t quantiles_ = 0;
   Dim d_ = 0;
   /// d * (quantiles + 1), dimension-major; owned when built, borrowed
@@ -153,14 +146,14 @@ class CommunitySignature {
   std::shared_ptr<const void> owner_;
 };
 
-/// Certified upper bound on the number of sketched users whose value in
-/// the row's dimension lies in [lo, hi]. `row` is one DimTable row
-/// (quantiles + 1 breakpoints over `sampled` sorted values). The bound is
-/// exact rank arithmetic: if breakpoint j (at rank r_j = j*(sampled-1)/Q)
-/// exceeds hi, at most r_j values are <= hi; if it is below lo, at least
-/// r_j + 1 values are < lo.
-uint32_t SignatureCountUpperBound(std::span<const Count> row,
-                                  uint32_t sampled, int64_t lo, int64_t hi);
+/// Certified upper bound on the number of users whose value in the row's
+/// dimension lies in [lo, hi]. `row` is one DimTable row (quantiles + 1
+/// breakpoints over the `n` sorted values of an n-user community). The
+/// bound is exact rank arithmetic: if breakpoint j (at rank
+/// r_j = j*(n-1)/Q) exceeds hi, at most r_j values are <= hi; if it is
+/// below lo, at least r_j + 1 values are < lo.
+uint32_t SignatureCountUpperBound(std::span<const Count> row, uint32_t n,
+                                  int64_t lo, int64_t hi);
 
 /// Upper bound on similarity(B, A) for the couple behind the two
 /// sketches (B = the smaller community, query wins ties — the same
@@ -300,8 +293,7 @@ class SignatureIndex {
     uint32_t stride = 0;  ///< d * (quantiles + 1) Counts per slot
     std::vector<uint64_t> ids;
     std::vector<uint64_t> versions;
-    std::vector<uint32_t> sizes;    ///< true community sizes
-    std::vector<uint32_t> sampled;  ///< sketched user counts
+    std::vector<uint32_t> sizes;    ///< community sizes
     std::vector<Count> table;       ///< slot-major breakpoint rows
     std::vector<std::shared_ptr<const CommunitySignature>> signatures;
 

@@ -82,8 +82,9 @@ struct SegmentHeader {
   /// reader configured differently must rebuild instead of adopting.
   uint32_t warm_eps = 0;
   uint32_t warm_parts = 0;
-  /// SignatureOptions::quantiles the sketch tables were built with
-  /// (meaningful iff kSegHasSignatures).
+  /// SignatureOptions::quantiles the sketch tables were built with,
+  /// clamped (meaningful iff kSegHasSignatures). Every user of an entry
+  /// is sketched, so its user count is the breakpoints' rank total.
   uint32_t sig_quantiles = 0;
   uint32_t flags = 0;
   uint64_t file_size = 0;
@@ -92,36 +93,36 @@ struct SegmentHeader {
 };
 static_assert(sizeof(SegmentHeader) == 64);
 
-/// Column kinds. The element type and expected length of each section
-/// are fixed by its kind (n = entry_count, U = total users, C = total
-/// counters, S = total sums = sum_i users_i * parts_i, W = total padded
-/// window values, see the prefix sections):
+/// Column kinds, the numbers in SectionDesc::kind. Each kind's name,
+/// element size and length rule live in ONE table, the segment codec's
+/// (persist/segment_columns.cc), which every writer and reader uses.
 enum class SectionKind : uint32_t {
-  kIds = 1,           ///< uint64[n]   entry ids, strictly ascending
-  kVersions = 2,      ///< uint64[n]   entry versions, unique
-  kDims = 3,          ///< uint32[n]   d per entry, >= 1
-  kFingerprints = 4,  ///< uint64[n]   digest fingerprints
-  kMaxCounters = 5,   ///< uint32[n]   digest max counters
-  kNamePrefix = 6,    ///< uint64[n+1] byte offsets into kNames
-  kNames = 7,         ///< uint8[...]  concatenated entry names
-  kUsersPrefix = 8,   ///< uint64[n+1] user-count prefix sums (total U)
-  kCountsPrefix = 9,  ///< uint64[n+1] counter prefix sums (total C)
-  kCounts = 10,       ///< uint32[C]   row-major community counters
-  kSampled = 11,      ///< uint32[n]   signature sampled counts
-  kSigPrefix = 12,    ///< uint64[n+1] sketch-table prefix sums
-  kSigTables = 13,    ///< uint32[...] quantile tables, d_i*(q+1) each
-  kSumsPrefix = 14,   ///< uint64[n+1] part-sum prefix sums (total S)
-  kEncBIds = 15,      ///< uint64[U]   EncodedB encoded ids (sorted)
-  kEncBReal = 16,     ///< uint32[U]   EncodedB real ids
-  kEncBSums = 17,     ///< uint64[S]   EncodedB part sums
-  kEncAMins = 18,     ///< uint64[U]   EncodedA encoded mins (sorted)
-  kEncAMaxs = 19,     ///< uint64[U]   EncodedA encoded maxs
-  kEncAReal = 20,     ///< uint32[U]   EncodedA real ids
-  kEncACols = 21,     ///< uint64[2S]  EncodedA part-major lo/hi columns
-  kWindowPrefix = 22, ///< uint64[n+1] padded-window prefix sums (total W)
-  kEncAWindow = 23,   ///< uint32[W]   EncodedA verify windows (sorted order)
-  // 24 is retired. Older segments carry a Baseline community-window
-  // section of that kind, which readers skip. Never reuse the number.
+  kIds = 1,            ///< entry ids, strictly ascending
+  kVersions = 2,       ///< entry versions, unique, < next_version
+  kDims = 3,           ///< d per entry
+  kFingerprints = 4,   ///< digest fingerprints
+  kMaxCounters = 5,    ///< digest max counters
+  kNamePrefix = 6,     ///< byte offsets into kNames
+  kNames = 7,          ///< concatenated entry names
+  kUsersPrefix = 8,    ///< user-count prefix sums
+  kCountsPrefix = 9,   ///< counter prefix sums
+  kCounts = 10,        ///< row-major community counters
+  // 11 is retired: per-entry sketched user counts, which always equal
+  // the entry's user count now that every user is sketched.
+  kSigPrefix = 12,     ///< sketch-table prefix sums
+  kSigTables = 13,     ///< quantile tables, d_i*(q+1) each
+  kSumsPrefix = 14,    ///< part-sum prefix sums
+  kEncBIds = 15,       ///< EncodedB encoded ids (sorted)
+  kEncBReal = 16,      ///< EncodedB real ids
+  kEncBSums = 17,      ///< EncodedB part sums
+  kEncAMins = 18,      ///< EncodedA encoded mins (sorted)
+  kEncAMaxs = 19,      ///< EncodedA encoded maxs
+  kEncAReal = 20,      ///< EncodedA real ids
+  kEncACols = 21,      ///< EncodedA part-major lo/hi columns
+  kWindowPrefix = 22,  ///< padded-window prefix sums
+  kEncAWindow = 23,    ///< EncodedA verify windows (sorted order)
+  // 24 is retired: the Baseline community windows.
+  // Never reuse a retired number.
 };
 
 /// One section descriptor (32 bytes). Payload bytes live at

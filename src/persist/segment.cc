@@ -40,7 +40,7 @@ uint64_t AlignUp(uint64_t value) {
 
 }  // namespace
 
-bool WriteSegment(const std::string& path, const SegmentParams& params,
+bool WriteSegment(const std::string& path, const SegmentHeader& fields,
                   std::span<const SectionSpec> sections, std::string* error) {
   // Lay out: header | descriptor table | aligned payloads.
   std::vector<SectionDesc> table(sections.size());
@@ -57,14 +57,10 @@ bool WriteSegment(const std::string& path, const SegmentParams& params,
     cursor = AlignUp(cursor + spec.bytes);
   }
 
-  SegmentHeader header;
+  SegmentHeader header = fields;
+  header.magic = kSegmentMagic;
+  header.format_version = kFormatVersion;
   header.section_count = static_cast<uint32_t>(sections.size());
-  header.entry_count = params.entry_count;
-  header.next_version = params.next_version;
-  header.warm_eps = params.warm_eps;
-  header.warm_parts = params.warm_parts;
-  header.sig_quantiles = params.sig_quantiles;
-  header.flags = params.flags;
   header.file_size = cursor;
   header.table_crc = Crc32c(table.data(), table.size() * sizeof(SectionDesc));
   header.crc = Crc32c(&header, offsetof(SegmentHeader, crc));

@@ -21,17 +21,6 @@ struct SectionSpec {
   size_t bytes = 0;
 };
 
-/// Non-magic header fields of the segment being sealed (counts, flags,
-/// warm parameters — see SegmentHeader).
-struct SegmentParams {
-  uint64_t entry_count = 0;
-  uint64_t next_version = 0;
-  uint32_t warm_eps = 0;
-  uint32_t warm_parts = 0;
-  uint32_t sig_quantiles = 0;
-  uint32_t flags = 0;
-};
-
 /// Seals `sections` into a segment file at `path`: header, CRC'd
 /// descriptor table, then each payload at the next 64-byte boundary with
 /// its CRC in the descriptor. The file is fsynced before returning (the
@@ -39,7 +28,10 @@ struct SegmentParams {
 /// Returns false with `*error` set on any I/O failure; a failed write
 /// may leave a partial file — callers write to a generation-unique name
 /// that no superblock references yet, so partial files are inert.
-bool WriteSegment(const std::string& path, const SegmentParams& params,
+/// `fields` supplies the entry count, next version, warm parameters and
+/// flags; the layout fields (magic, format version, section count, file
+/// size, CRCs) are set here.
+bool WriteSegment(const std::string& path, const SegmentHeader& fields,
                   std::span<const SectionSpec> sections, std::string* error);
 
 /// A sealed segment mapped read-only. Map() validates everything needed
@@ -50,7 +42,9 @@ bool WriteSegment(const std::string& path, const SegmentParams& params,
 /// every byte, forfeiting the zero-copy open the format exists for.
 /// Payload integrity is csj_fsck's contract (run it on any store whose
 /// history is untrusted); a corrupt payload under a valid descriptor
-/// yields wrong column VALUES, never out-of-bounds access.
+/// yields wrong column VALUES, never out-of-bounds access, once the
+/// codec's shape check (SegmentColumns::Bind) has proven the prefix
+/// columns that index the rest.
 ///
 /// Columns are served as spans over the mapping; the shared_ptr
 /// returned by Map is the keep-alive that view-backed communities,

@@ -11,8 +11,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/encoding.h"
 #include "persist/crc32.h"
+#include "persist/segment_columns.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -24,12 +24,19 @@ std::string Errno(const std::string& what) {
   return what + ": " + std::strerror(errno);
 }
 
-/// memcpy whose pointers may be null when the copy is empty (an empty
-/// column's vector data() and an empty name's data() are both null,
-/// which memcpy's nonnull attribute forbids even for size 0).
-void CopyBytes(void* dst, const void* src, size_t size) {
-  if (size != 0) std::memcpy(dst, src, size);
+bool FsyncDir(const std::string& dir, std::string* error) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    *error = Errno("open " + dir);
+    return false;
+  }
+  const bool ok = ::fsync(fd) == 0;
+  if (!ok) *error = Errno("fsync " + dir);
+  ::close(fd);
+  return ok;
 }
+
+}  // namespace
 
 bool ReadSuperblock(const std::string& path, Superblock* superblock,
                     bool* present, std::string* error) {
@@ -62,28 +69,6 @@ bool ReadSuperblock(const std::string& path, Superblock* superblock,
   return true;
 }
 
-bool FsyncDir(const std::string& dir, std::string* error) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    *error = Errno("open " + dir);
-    return false;
-  }
-  const bool ok = ::fsync(fd) == 0;
-  if (!ok) *error = Errno("fsync " + dir);
-  ::close(fd);
-  return ok;
-}
-
-/// Per-entry derived sizes the column assembly and the restore loop
-/// both need; computing them once keeps the two in lockstep.
-struct EntryShape {
-  Dim d = 0;
-  uint32_t users = 0;
-  uint32_t parts = 0;
-  size_t window = 0;  ///< VerifyWindow::PaddedCount(users, d)
-};
-
-}  // namespace
 
 std::string Store::SuperblockPath() const {
   return options_.dir + "/superblock.csj";
@@ -190,7 +175,6 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
 
   if (segment_ != nullptr) {
     const SegmentHeader& header = segment_->header();
-    const auto n = static_cast<size_t>(header.entry_count);
     const bool has_signatures = (header.flags & kSegHasSignatures) != 0;
     const bool has_encodings = (header.flags & kSegHasEncodings) != 0;
 
@@ -213,167 +197,21 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
       return false;
     }
 
-    const auto ids = segment_->Column<uint64_t>(SectionKind::kIds);
-    const auto versions = segment_->Column<uint64_t>(SectionKind::kVersions);
-    const auto dims = segment_->Column<uint32_t>(SectionKind::kDims);
-    const auto fingerprints =
-        segment_->Column<uint64_t>(SectionKind::kFingerprints);
-    const auto max_counters =
-        segment_->Column<uint32_t>(SectionKind::kMaxCounters);
-    const auto name_prefix =
-        segment_->Column<uint64_t>(SectionKind::kNamePrefix);
-    const auto names = segment_->Column<uint8_t>(SectionKind::kNames);
-    const auto users_prefix =
-        segment_->Column<uint64_t>(SectionKind::kUsersPrefix);
-    const auto counts_prefix =
-        segment_->Column<uint64_t>(SectionKind::kCountsPrefix);
-    const auto counts = segment_->Column<Count>(SectionKind::kCounts);
-    const auto sampled = segment_->Column<uint32_t>(SectionKind::kSampled);
-    const auto sig_prefix =
-        segment_->Column<uint64_t>(SectionKind::kSigPrefix);
-    const auto sig_tables = segment_->Column<Count>(SectionKind::kSigTables);
-    const auto sums_prefix =
-        segment_->Column<uint64_t>(SectionKind::kSumsPrefix);
-    const auto b_ids = segment_->Column<uint64_t>(SectionKind::kEncBIds);
-    const auto b_real = segment_->Column<UserId>(SectionKind::kEncBReal);
-    const auto b_sums = segment_->Column<uint64_t>(SectionKind::kEncBSums);
-    const auto a_mins = segment_->Column<uint64_t>(SectionKind::kEncAMins);
-    const auto a_maxs = segment_->Column<uint64_t>(SectionKind::kEncAMaxs);
-    const auto a_real = segment_->Column<UserId>(SectionKind::kEncAReal);
-    const auto a_cols = segment_->Column<uint64_t>(SectionKind::kEncACols);
-    const auto window_prefix =
-        segment_->Column<uint64_t>(SectionKind::kWindowPrefix);
-    const auto a_window = segment_->Column<Count>(SectionKind::kEncAWindow);
-
-    // Shape validation — the zero-copy views below index the mapped
-    // columns through the prefix arrays, and those arrays live in
-    // payload bytes the open path did NOT CRC (see MappedSegment). This
-    // O(n) pass proves every derived index in bounds, so corrupt
-    // prefixes fail loudly here instead of reading out of the mapping.
-    auto shape_error = [&](const char* what) {
-      *error = std::string("segment column shape invalid (") + what +
+    // Bind + shape-check the columns, then build the restored entries:
+    // everything large is a VIEW pinned by the mapping; per entry this
+    // allocates only the control blocks.
+    SegmentColumns columns;
+    std::string shape_error;
+    if (!columns.Bind(segment_, &shape_error)) {
+      *error = "segment column shape invalid (" + shape_error +
                "); run csj_fsck";
       return false;
-    };
-    if (ids.size() != n || versions.size() != n || dims.size() != n ||
-        fingerprints.size() != n || max_counters.size() != n ||
-        name_prefix.size() != n + 1 || users_prefix.size() != n + 1 ||
-        counts_prefix.size() != n + 1) {
-      return shape_error("entry columns");
     }
-    if (has_signatures &&
-        (sampled.size() != n || sig_prefix.size() != n + 1)) {
-      return shape_error("signature columns");
-    }
-    if (has_encodings &&
-        (sums_prefix.size() != n + 1 || window_prefix.size() != n + 1)) {
-      return shape_error("encoding prefixes");
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (i > 0 && ids[i] <= ids[i - 1]) return shape_error("id order");
-      // Versions live in un-CRC'd payload bytes like the prefixes: a
-      // corrupt value must fail here, not abort inside RestoreBatch.
-      if (versions[i] == 0 || versions[i] >= header.next_version) {
-        return shape_error("version range");
-      }
-      const Dim d = dims[i];
-      const uint64_t users = users_prefix[i + 1] - users_prefix[i];
-      if (d == 0 || users == 0 || users_prefix[i + 1] < users_prefix[i]) {
-        return shape_error("entry sizes");
-      }
-      if (counts_prefix[i + 1] - counts_prefix[i] !=
-          users * static_cast<uint64_t>(d)) {
-        return shape_error("counter prefix");
-      }
-      if (has_signatures &&
-          sig_prefix[i + 1] - sig_prefix[i] !=
-              static_cast<uint64_t>(d) * (header.sig_quantiles + 1)) {
-        return shape_error("sketch prefix");
-      }
-      if (has_encodings) {
-        const uint32_t parts =
-            Encoder::ClampParts(header.warm_parts, static_cast<Dim>(d));
-        if (sums_prefix[i + 1] - sums_prefix[i] != users * parts) {
-          return shape_error("part-sum prefix");
-        }
-        if (window_prefix[i + 1] - window_prefix[i] !=
-            VerifyWindow::PaddedCount(static_cast<uint32_t>(users), d)) {
-          return shape_error("window prefix");
-        }
-      }
-      if (name_prefix[i + 1] < name_prefix[i]) {
-        return shape_error("name prefix");
-      }
-    }
-    if (name_prefix[n] != names.size()) return shape_error("name bytes");
-    if (counts_prefix[n] != counts.size()) return shape_error("counter bytes");
-    if (has_signatures && sig_prefix[n] != sig_tables.size()) {
-      return shape_error("sketch bytes");
-    }
-    if (has_encodings) {
-      if (users_prefix[n] != b_ids.size() ||
-          users_prefix[n] != b_real.size() ||
-          users_prefix[n] != a_mins.size() ||
-          users_prefix[n] != a_maxs.size() ||
-          users_prefix[n] != a_real.size() ||
-          sums_prefix[n] != b_sums.size() ||
-          2 * sums_prefix[n] != a_cols.size() ||
-          window_prefix[n] != a_window.size()) {
-        return shape_error("encoding bytes");
-      }
-    }
-
-    // Build the restored entries. Everything large is a VIEW pinned by
-    // the mapping; per entry this allocates only the control blocks.
-    pending.resize(n);
-    const bool adopt_encodings =
-        has_encodings && catalog_options.cache != nullptr;
+    pending.resize(columns.size());
+    const bool adopt_encodings = catalog_options.cache != nullptr;
     util::ThreadPool::Global().Run(
-        static_cast<uint32_t>(n), [&](uint32_t i) {
-          service::CommunityCatalog::RestoredEntry& entry = pending[i];
-          const Dim d = dims[i];
-          const auto users =
-              static_cast<uint32_t>(users_prefix[i + 1] - users_prefix[i]);
-          entry.id = ids[i];
-          entry.version = versions[i];
-          entry.digest = {fingerprints[i], max_counters[i]};
-          std::string name(
-              reinterpret_cast<const char*>(names.data()) + name_prefix[i],
-              name_prefix[i + 1] - name_prefix[i]);
-          entry.community = std::make_shared<const Community>(
-              Community::FromView(d, counts.data() + counts_prefix[i],
-                                  static_cast<size_t>(users) * d, segment_,
-                                  std::move(name)));
-          if (has_signatures) {
-            CommunitySignature::TableView view;
-            view.n = users;
-            view.sampled = sampled[i];
-            view.quantiles = header.sig_quantiles;
-            view.d = d;
-            view.table = sig_tables.data() + sig_prefix[i];
-            entry.signature =
-                std::make_shared<const CommunitySignature>(view, segment_);
-          }
-          if (adopt_encodings) {
-            const uint32_t parts = Encoder::ClampParts(header.warm_parts, d);
-            EncodedB::Columns b;
-            b.parts = parts;
-            b.n = users;
-            b.ids = b_ids.data() + users_prefix[i];
-            b.real = b_real.data() + users_prefix[i];
-            b.sums = b_sums.data() + sums_prefix[i];
-            entry.encoded_b = std::make_shared<const EncodedB>(b, segment_);
-            EncodedA::Columns a;
-            a.parts = parts;
-            a.n = users;
-            a.d = d;
-            a.mins = a_mins.data() + users_prefix[i];
-            a.maxs = a_maxs.data() + users_prefix[i];
-            a.real = a_real.data() + users_prefix[i];
-            a.cols = a_cols.data() + 2 * sums_prefix[i];
-            a.window = a_window.data() + window_prefix[i];
-            entry.encoded_a = std::make_shared<const EncodedA>(a, segment_);
-          }
+        static_cast<uint32_t>(columns.size()), [&](uint32_t i) {
+          pending[i] = columns.View(i, adopt_encodings);
         });
     recovered_next = std::max<uint64_t>(recovered_next, header.next_version);
   }
@@ -463,15 +301,17 @@ bool Store::StartLogging(service::CommunityCatalog* catalog,
     return false;
   }
   logging_ = true;
-  catalog->SetMutationSink([this](const service::MutationEvent& event) {
-    std::lock_guard sink_lock(writer_mu_);
-    if (writer_ == nullptr) return;
-    if (event.remove) {
-      writer_->AppendRemove(event.id);
-    } else {
-      writer_->AppendUpsert(event.id, event.version, *event.community);
-    }
-  });
+  catalog->SetMutationSink(
+      [this](const service::MutationRecord& record,
+             const std::shared_ptr<const Community>& community) {
+        std::lock_guard sink_lock(writer_mu_);
+        if (writer_ == nullptr) return;
+        if (record.remove) {
+          writer_->AppendRemove(record.id);
+        } else {
+          writer_->AppendUpsert(record.id, record.version, *community);
+        }
+      });
   return true;
 }
 
@@ -489,170 +329,16 @@ void Store::StopLogging(service::CommunityCatalog* catalog) {
 bool Store::Checkpoint(const service::CommunityCatalog& catalog,
                        std::string* error, CheckpointStats* stats) {
   if (stats != nullptr) *stats = CheckpointStats{};
-  const auto& catalog_options = catalog.options();
   const uint64_t new_generation = generation_ + 1;
 
   util::Timer timer;
   const std::vector<service::CatalogEntry> snapshot = catalog.Snapshot();
-  const auto n = static_cast<uint32_t>(snapshot.size());
-  const bool has_signatures = catalog.signature_index() != nullptr;
-  const bool has_encodings = catalog_options.cache != nullptr;
-
-  // Derived shapes + prefix arrays (serial, O(n)).
-  std::vector<EntryShape> shapes(n);
-  std::vector<uint64_t> name_prefix(n + 1, 0);
-  std::vector<uint64_t> users_prefix(n + 1, 0);
-  std::vector<uint64_t> counts_prefix(n + 1, 0);
-  std::vector<uint64_t> sig_prefix(has_signatures ? n + 1 : 0, 0);
-  std::vector<uint64_t> sums_prefix(has_encodings ? n + 1 : 0, 0);
-  std::vector<uint64_t> window_prefix(has_encodings ? n + 1 : 0, 0);
-  const uint32_t sig_quantiles =
-      has_signatures ? catalog.signature_options()->quantiles : 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    const service::CatalogEntry& entry = snapshot[i];
-    EntryShape& shape = shapes[i];
-    shape.d = entry.community->d();
-    shape.users = entry.community->size();
-    shape.parts = Encoder::ClampParts(catalog_options.warm_parts, shape.d);
-    shape.window = VerifyWindow::PaddedCount(shape.users, shape.d);
-    name_prefix[i + 1] = name_prefix[i] + entry.community->name().size();
-    users_prefix[i + 1] = users_prefix[i] + shape.users;
-    counts_prefix[i + 1] =
-        counts_prefix[i] + static_cast<uint64_t>(shape.users) * shape.d;
-    if (has_signatures) {
-      CSJ_CHECK(entry.signature != nullptr);
-      sig_prefix[i + 1] =
-          sig_prefix[i] + static_cast<uint64_t>(shape.d) * (sig_quantiles + 1);
-    }
-    if (has_encodings) {
-      sums_prefix[i + 1] =
-          sums_prefix[i] + static_cast<uint64_t>(shape.users) * shape.parts;
-      window_prefix[i + 1] = window_prefix[i] + shape.window;
-    }
-  }
-
-  // Column buffers.
-  std::vector<uint64_t> ids(n), versions(n), fingerprints(n);
-  std::vector<uint32_t> dims(n), max_counters(n);
-  std::vector<uint8_t> names(name_prefix[n]);
-  std::vector<Count> counts(counts_prefix[n]);
-  std::vector<uint32_t> sampled(has_signatures ? n : 0);
-  std::vector<Count> sig_tables(has_signatures ? sig_prefix[n] : 0);
-  std::vector<uint64_t> b_ids(has_encodings ? users_prefix[n] : 0);
-  std::vector<UserId> b_real(has_encodings ? users_prefix[n] : 0);
-  std::vector<uint64_t> b_sums(has_encodings ? sums_prefix[n] : 0);
-  std::vector<uint64_t> a_mins(has_encodings ? users_prefix[n] : 0);
-  std::vector<uint64_t> a_maxs(has_encodings ? users_prefix[n] : 0);
-  std::vector<UserId> a_real(has_encodings ? users_prefix[n] : 0);
-  std::vector<uint64_t> a_cols(has_encodings ? 2 * sums_prefix[n] : 0);
-  std::vector<Count> a_window(has_encodings ? window_prefix[n] : 0);
-
-  // Parallel fill: every entry writes disjoint column stretches. Warm
-  // artifacts come from the catalog's cache (built on miss through the
-  // exact builders, so a cold cache still seals correct bytes).
-  util::ThreadPool::Global().Run(n, [&](uint32_t i) {
-    const service::CatalogEntry& entry = snapshot[i];
-    const EntryShape& shape = shapes[i];
-    ids[i] = entry.id;
-    versions[i] = entry.version;
-    fingerprints[i] = entry.digest.fingerprint;
-    max_counters[i] = entry.digest.max_counter;
-    dims[i] = shape.d;
-    CopyBytes(names.data() + name_prefix[i], entry.community->name().data(),
-              entry.community->name().size());
-    const auto flat = entry.community->flat();
-    CopyBytes(counts.data() + counts_prefix[i], flat.data(),
-              flat.size() * sizeof(Count));
-    if (has_signatures) {
-      sampled[i] = entry.signature->sampled();
-      const auto table = entry.signature->table();
-      CopyBytes(sig_tables.data() + sig_prefix[i], table.data(),
-                table.size() * sizeof(Count));
-    }
-    if (has_encodings) {
-      EncodingCache* cache = catalog_options.cache;
-      const auto encoded_b =
-          cache->GetEncodedB(*entry.community, entry.digest,
-                             catalog_options.warm_eps, shape.parts, nullptr);
-      const auto encoded_a =
-          cache->GetEncodedA(*entry.community, entry.digest,
-                             catalog_options.warm_eps, shape.parts, nullptr);
-      for (uint32_t u = 0; u < shape.users; ++u) {
-        b_ids[users_prefix[i] + u] = encoded_b->encoded_id(u);
-        b_real[users_prefix[i] + u] = encoded_b->real_id(u);
-        a_mins[users_prefix[i] + u] = encoded_a->encoded_min(u);
-        a_maxs[users_prefix[i] + u] = encoded_a->encoded_max(u);
-        a_real[users_prefix[i] + u] = encoded_a->real_id(u);
-      }
-      // part_sums(0) / part_lo(0) are the first elements of the flat
-      // SoA buffers; the whole column is contiguous behind them.
-      std::memcpy(b_sums.data() + sums_prefix[i],
-                  encoded_b->part_sums(0).data(),
-                  static_cast<size_t>(shape.users) * shape.parts *
-                      sizeof(uint64_t));
-      std::memcpy(a_cols.data() + 2 * sums_prefix[i], encoded_a->part_lo(0),
-                  2 * static_cast<size_t>(shape.users) * shape.parts *
-                      sizeof(uint64_t));
-      std::memcpy(a_window.data() + window_prefix[i],
-                  encoded_a->window().BlockData(0),
-                  shape.window * sizeof(Count));
-    }
-  });
+  const SegmentImage image(catalog, snapshot);
   if (stats != nullptr) stats->snapshot_seconds = timer.Seconds();
   timer.Reset();
 
-  SegmentParams params;
-  params.entry_count = n;
-  params.next_version = catalog.latest_version() + 1;
-  params.warm_eps = catalog_options.warm_eps;
-  params.warm_parts = catalog_options.warm_parts;
-  params.sig_quantiles = sig_quantiles;
-  params.flags = (has_signatures ? kSegHasSignatures : 0u) |
-                 (has_encodings ? kSegHasEncodings : 0u);
-
-  std::vector<SectionSpec> sections;
-  auto add = [&](SectionKind kind, uint32_t elem_size, const void* data,
-                 size_t bytes) {
-    sections.push_back({kind, elem_size, data, bytes});
-  };
-  add(SectionKind::kIds, 8, ids.data(), ids.size() * 8);
-  add(SectionKind::kVersions, 8, versions.data(), versions.size() * 8);
-  add(SectionKind::kDims, 4, dims.data(), dims.size() * 4);
-  add(SectionKind::kFingerprints, 8, fingerprints.data(),
-      fingerprints.size() * 8);
-  add(SectionKind::kMaxCounters, 4, max_counters.data(),
-      max_counters.size() * 4);
-  add(SectionKind::kNamePrefix, 8, name_prefix.data(),
-      name_prefix.size() * 8);
-  add(SectionKind::kNames, 1, names.data(), names.size());
-  add(SectionKind::kUsersPrefix, 8, users_prefix.data(),
-      users_prefix.size() * 8);
-  add(SectionKind::kCountsPrefix, 8, counts_prefix.data(),
-      counts_prefix.size() * 8);
-  add(SectionKind::kCounts, 4, counts.data(), counts.size() * 4);
-  if (has_signatures) {
-    add(SectionKind::kSampled, 4, sampled.data(), sampled.size() * 4);
-    add(SectionKind::kSigPrefix, 8, sig_prefix.data(),
-        sig_prefix.size() * 8);
-    add(SectionKind::kSigTables, 4, sig_tables.data(), sig_tables.size() * 4);
-  }
-  if (has_encodings) {
-    add(SectionKind::kSumsPrefix, 8, sums_prefix.data(),
-        sums_prefix.size() * 8);
-    add(SectionKind::kEncBIds, 8, b_ids.data(), b_ids.size() * 8);
-    add(SectionKind::kEncBReal, 4, b_real.data(), b_real.size() * 4);
-    add(SectionKind::kEncBSums, 8, b_sums.data(), b_sums.size() * 8);
-    add(SectionKind::kEncAMins, 8, a_mins.data(), a_mins.size() * 8);
-    add(SectionKind::kEncAMaxs, 8, a_maxs.data(), a_maxs.size() * 8);
-    add(SectionKind::kEncAReal, 4, a_real.data(), a_real.size() * 4);
-    add(SectionKind::kEncACols, 8, a_cols.data(), a_cols.size() * 8);
-    add(SectionKind::kWindowPrefix, 8, window_prefix.data(),
-        window_prefix.size() * 8);
-    add(SectionKind::kEncAWindow, 4, a_window.data(), a_window.size() * 4);
-  }
-
   const std::string segment_path = SegmentPath(new_generation);
-  if (!WriteSegment(segment_path, params, sections, error)) return false;
+  if (!image.Write(segment_path, error)) return false;
   if (stats != nullptr) stats->write_seconds = timer.Seconds();
   timer.Reset();
 
@@ -709,7 +395,7 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   if (stats != nullptr) {
     stats->commit_seconds = timer.Seconds();
     stats->generation = new_generation;
-    stats->entries = n;
+    stats->entries = snapshot.size();
     stats->bytes = segment_->size();
   }
   return true;

@@ -24,6 +24,12 @@ struct StoreOptions {
   FaultInjector* fault_injector = nullptr;
 };
 
+/// Reads and validates the superblock at `path` (magic, format version,
+/// CRC). A missing file is not an error: `*present` says whether one was
+/// found.
+bool ReadSuperblock(const std::string& path, Superblock* superblock,
+                    bool* present, std::string* error);
+
 /// Accounting of Open() + RestoreInto().
 struct OpenStats {
   bool opened_existing = false;  ///< a committed superblock was found

@@ -37,15 +37,21 @@ CommunityCatalog::CommunityCatalog(Options options) : options_(options) {
   }
 }
 
-void CommunityCatalog::AppendMutation(uint64_t id, uint64_t version,
-                                      bool remove) {
-  MutationLog& log = *mutation_log_;
-  std::lock_guard lock(log.mu);
-  log.records.push_back({log.next_seq++, id, version, remove});
-  while (log.records.size() > options_.mutation_log_capacity) {
-    log.records.pop_front();
-    ++log.first_seq;
+void CommunityCatalog::Publish(
+    uint64_t id, uint64_t version,
+    const std::shared_ptr<const Community>& community) {
+  MutationRecord record{0, id, version, /*remove=*/community == nullptr};
+  if (mutation_log_ != nullptr) {
+    MutationLog& log = *mutation_log_;
+    std::lock_guard lock(log.mu);
+    record.seq = log.next_seq++;
+    log.records.push_back(record);
+    while (log.records.size() > options_.mutation_log_capacity) {
+      log.records.pop_front();
+      ++log.first_seq;
+    }
   }
+  if (mutation_sink_) mutation_sink_(record, community);
 }
 
 uint64_t CommunityCatalog::mutation_seq() const {
@@ -203,20 +209,13 @@ void CommunityCatalog::InstallShard(uint32_t shard_index,
   mutations_started_.fetch_add(1, std::memory_order_acq_rel);
   {
     std::unique_lock lock(shard.mu);
-    // Journal and sink first, in member order, while the entries still
-    // hold their community pointers (the move loop below strips them).
-    // Same critical section as the install, so neither order can
-    // contradict the install order readers observe.
+    // Publish first, in member order, while the entries still hold their
+    // community pointers (the move loop below strips them). Same critical
+    // section as the install, so neither the journal nor the sink order
+    // can contradict the install order readers observe.
     if (notify) {
       for (const uint32_t i : members) {
-        const CatalogEntry& entry = entries[i];
-        if (mutation_log_ != nullptr) {
-          AppendMutation(entry.id, entry.version, /*remove=*/false);
-        }
-        if (mutation_sink_) {
-          mutation_sink_(
-              {entry.id, entry.version, /*remove=*/false, entry.community});
-        }
+        Publish(entries[i].id, entries[i].version, entries[i].community);
       }
     }
     for (const uint32_t i : members) {
@@ -422,14 +421,9 @@ bool CommunityCatalog::Remove(uint64_t id) {
     if (removed && signature_index_ != nullptr) {
       signature_index_->Remove(shard_index, id);
     }
-    // Only a remove that actually erased something is logged: a Remove
-    // of an absent id changes no observable state for log consumers.
-    if (removed && mutation_log_ != nullptr) {
-      AppendMutation(id, /*version=*/0, /*remove=*/true);
-    }
-    if (removed && mutation_sink_) {
-      mutation_sink_({id, /*version=*/0, /*remove=*/true, nullptr});
-    }
+    // Only a remove that actually erased something is published: a
+    // Remove of an absent id changes no observable state for consumers.
+    if (removed) Publish(id, /*version=*/0, /*community=*/nullptr);
   }
   mutations_finished_.fetch_add(1, std::memory_order_acq_rel);
   if (removed) removes_.fetch_add(1, std::memory_order_relaxed);

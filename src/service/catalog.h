@@ -49,37 +49,22 @@ struct CatalogEntry {
   std::shared_ptr<const CommunitySignature> signature;
 };
 
-/// One record of the catalog's optional MUTATION LOG (see
-/// Options::mutation_log_capacity): which id changed, in what way, in
-/// which order. Consumers such as the evolution subsystem's
-/// `TopKMaintainer` replay the suffix of the log since their last
-/// cursor to learn exactly which entries moved, instead of re-scanning
-/// the whole catalog.
+/// One effective mutation: which id changed, in what way, in which
+/// order. The optional bounded journal (Options::mutation_log_capacity)
+/// retains these records — consumers such as `TopKMaintainer` replay the
+/// suffix since their cursor instead of re-scanning the catalog — and
+/// the durable-log sink (SetMutationSink) receives the same record.
 struct MutationRecord {
-  /// Dense 1-based append ordinal — record seq is issued exactly once
+  /// Dense 1-based journal ordinal — record seq is issued exactly once
   /// and never skipped, so a consumer holding cursor c has seen the
   /// complete mutation history iff it reads every record with seq > c.
+  /// 0 when the journal is disabled.
   uint64_t seq = 0;
   uint64_t id = 0;
   /// The installed entry version for upserts; 0 for removes (a Remove
   /// consumes no catalog version, matching the un-logged behavior).
   uint64_t version = 0;
   bool remove = false;
-};
-
-/// One mutation as observed by a MUTATION SINK (the durable-log seam,
-/// see CommunityCatalog::SetMutationSink). Unlike the in-RAM
-/// MutationRecord — which only names WHAT changed — a sink event carries
-/// the installed payload itself, so a persistence layer can write a
-/// self-contained log record without re-reading the catalog.
-struct MutationEvent {
-  uint64_t id = 0;
-  /// Issued entry version for upserts; 0 for removes.
-  uint64_t version = 0;
-  bool remove = false;
-  /// The frozen installed buffer (null for removes). The sink may retain
-  /// the shared_ptr; the buffer is immutable for its lifetime.
-  std::shared_ptr<const Community> community;
 };
 
 /// A live, incrementally maintained exact similarity between ONE query
@@ -273,8 +258,12 @@ class CommunityCatalog {
   /// thread-safe (shards mutate concurrently) and fast: it runs under a
   /// shard lock, so it should buffer, not block on I/O. Set it while the
   /// catalog is quiescent (there is no synchronization against in-flight
-  /// mutations); pass nullptr to detach.
-  using MutationSink = std::function<void(const MutationEvent&)>;
+  /// mutations); pass nullptr to detach. Besides the journal's record the
+  /// sink receives the frozen installed buffer (null for removes), so a
+  /// persistence layer can write a self-contained log record without
+  /// re-reading the catalog; it may retain the shared_ptr.
+  using MutationSink = std::function<void(
+      const MutationRecord&, const std::shared_ptr<const Community>&)>;
   void SetMutationSink(MutationSink sink) { mutation_sink_ = std::move(sink); }
 
   /// The current entry for `id`, or an empty optional-like entry
@@ -413,7 +402,13 @@ class CommunityCatalog {
   uint32_t ShardIndexOf(uint64_t id) const;
   const Shard& ShardOf(uint64_t id) const;
   Shard& ShardOf(uint64_t id);
-  void AppendMutation(uint64_t id, uint64_t version, bool remove);
+  /// The one publish step of every effective mutation, run inside the
+  /// mutation's exclusive shard section: appends the record to the
+  /// journal (which issues its seq) and hands it, with the installed
+  /// buffer (null for a remove), to the sink. The journal keeps only the
+  /// record, never the buffer.
+  void Publish(uint64_t id, uint64_t version,
+               const std::shared_ptr<const Community>& community);
 
   /// The prepare step every install path runs OUTSIDE any lock, in two
   /// stages so BulkLoad can time them as separate waves. Stage one
@@ -429,7 +424,7 @@ class CommunityCatalog {
   /// shard's exclusive lock, moves `entries[i]` for each i of `members`
   /// (all of shard `shard_index`, in install order) into the entry map
   /// and the signature index, bracketed by one mutation-clock tick.
-  /// With `notify`, each install also reaches the journal and the sink.
+  /// With `notify`, each install is also published (see Publish).
   void InstallShard(uint32_t shard_index, std::span<CatalogEntry> entries,
                     std::span<const uint32_t> members, bool notify);
   /// Groups `entries` by shard (batch order kept within a shard, so

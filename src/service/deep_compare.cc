@@ -35,7 +35,6 @@ bool CatalogsIdentical(const CommunityCatalog& lhs,
     }
     if ((a.signature == nullptr) != (b.signature == nullptr)) return false;
     if (a.signature != nullptr) {
-      if (a.signature->sampled() != b.signature->sampled()) return false;
       const auto a_table = a.signature->table();
       const auto b_table = b.signature->table();
       if (!std::equal(a_table.begin(), a_table.end(), b_table.begin(),

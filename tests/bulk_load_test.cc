@@ -119,7 +119,6 @@ void ExpectCatalogsIdentical(const CommunityCatalog& bulk,
     ASSERT_NE(from_seq, nullptr) << "id " << entry.id;
     EXPECT_EQ(bulk_version, seq_version) << "id " << entry.id;
     EXPECT_EQ(from_bulk->size(), from_seq->size());
-    EXPECT_EQ(from_bulk->sampled(), from_seq->sampled());
     const auto b_table = from_bulk->table();
     const auto s_table = from_seq->table();
     ASSERT_EQ(b_table.size(), s_table.size()) << "id " << entry.id;
@@ -165,8 +164,10 @@ CommunityCatalog::Options WithEverything(uint32_t shards,
 }
 
 /// One mutation as the install section reported it, through the sink
-/// (with the installed counters) or the journal (without them).
+/// (with the installed counters) or the journal (without them). The sink
+/// receives the journal's own record, seq included.
 struct Notice {
+  uint64_t seq = 0;
   uint64_t id = 0;
   uint64_t version = 0;
   bool remove = false;
@@ -178,15 +179,18 @@ struct Notice {
 /// Attaches a sink to `catalog` that appends every event to `out`.
 void RecordSink(CommunityCatalog* catalog, std::mutex* mu,
                 std::vector<Notice>* out) {
-  catalog->SetMutationSink([mu, out](const MutationEvent& event) {
-    std::lock_guard lock(*mu);
-    Notice notice{event.id, event.version, event.remove, {}};
-    if (event.community != nullptr) {
-      notice.counters.assign(event.community->flat().begin(),
-                             event.community->flat().end());
-    }
-    out->push_back(std::move(notice));
-  });
+  catalog->SetMutationSink(
+      [mu, out](const MutationRecord& record,
+                const std::shared_ptr<const Community>& community) {
+        std::lock_guard lock(*mu);
+        Notice notice{record.seq, record.id, record.version, record.remove,
+                      {}};
+        if (community != nullptr) {
+          notice.counters.assign(community->flat().begin(),
+                                 community->flat().end());
+        }
+        out->push_back(std::move(notice));
+      });
 }
 
 std::vector<Notice> JournalOf(const CommunityCatalog& catalog) {
@@ -194,13 +198,16 @@ std::vector<Notice> JournalOf(const CommunityCatalog& catalog) {
   EXPECT_TRUE(catalog.ReadMutationsSince(0, &records));
   std::vector<Notice> notices;
   for (const MutationRecord& record : records) {
-    notices.push_back({record.id, record.version, record.remove, {}});
+    notices.push_back(
+        {record.seq, record.id, record.version, record.remove, {}});
   }
   return notices;
 }
 
-/// Splits `notices` into per-shard sequences, order kept. Every noticed
-/// id must be resident; its shard is found through the signature index.
+/// Splits `notices` into per-shard sequences, order kept, without their
+/// seqs: a seq orders mutations across shards, which the two arms
+/// interleave differently. Every noticed id must be resident; its shard
+/// is found through the signature index.
 std::vector<std::vector<Notice>> PerShard(const CommunityCatalog& catalog,
                                           const std::vector<Notice>& notices) {
   const SignatureIndex& index = *catalog.signature_index();
@@ -213,7 +220,10 @@ std::vector<std::vector<Notice>> PerShard(const CommunityCatalog& catalog,
       ++shard;
     }
     EXPECT_LT(shard, index.shards()) << "id " << notice.id;
-    if (shard < index.shards()) shards[shard].push_back(notice);
+    if (shard < index.shards()) {
+      shards[shard].push_back(notice);
+      shards[shard].back().seq = 0;
+    }
   }
   return shards;
 }

@@ -129,7 +129,10 @@ TEST(MutationJournalTest, RemoveOfAbsentIdLeavesEveryObserverUntouched) {
 
   uint64_t sink_events = 0;
   catalog.SetMutationSink(
-      [&sink_events](const service::MutationEvent&) { ++sink_events; });
+      [&sink_events](const service::MutationRecord&,
+                     const std::shared_ptr<const Community>&) {
+        ++sink_events;
+      });
 
   const uint64_t seq_before = catalog.mutation_seq();
   const uint64_t version_before = catalog.latest_version();

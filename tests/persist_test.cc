@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -135,28 +136,33 @@ TEST(PersistStoreTest, CheckpointRoundTripIsByteIdentical) {
   ExpectRestoresIdentical(dir, catalog);
 }
 
-TEST(PersistStoreTest, SegmentWithRetiredWindowSectionStillRestores) {
-  // Segments sealed before the Baseline window left the warmup carry one
-  // more section, kind 24. Such a store must still restore byte-identical
-  // and verify clean: readers skip the retired section.
-  const std::string dir = FreshDir();
-  EncodingCache cache;
-  service::CommunityCatalog catalog(CatalogOpts(&cache));
+/// Checkpoints 10 entries into a fresh store and returns its directory.
+std::string SealTenEntries(service::CommunityCatalog* catalog) {
   for (uint64_t id = 1; id <= 10; ++id) {
-    catalog.Upsert(id, MakeTestCommunity(12 + static_cast<uint32_t>(id), id));
+    catalog->Upsert(id,
+                    MakeTestCommunity(12 + static_cast<uint32_t>(id), id));
   }
+  const std::string dir = FreshDir();
   StoreOptions options;
   options.dir = dir;
   std::string error;
-  {
-    auto store = Store::Open(options, &error);
-    ASSERT_NE(store, nullptr) << error;
-    ASSERT_TRUE(store->Checkpoint(catalog, &error)) << error;
+  auto store = Store::Open(options, &error);
+  EXPECT_NE(store, nullptr) << error;
+  if (store != nullptr) {
+    EXPECT_TRUE(store->Checkpoint(*catalog, &error)) << error;
   }
+  return dir;
+}
 
-  // Reseal seg-1 with every section plus a kind-24 section shaped like
-  // the old community windows (same length as the EncodedA windows).
+/// Reseals `dir`'s seg-1 with every section it has plus one of `kind`
+/// whose payload `make_payload` derives from the mapped segment — the
+/// shape of a segment sealed before the writer retired that kind.
+void ResealWithSection(
+    const std::string& dir, uint32_t kind,
+    const std::function<std::vector<uint32_t>(const MappedSegment&)>&
+        make_payload) {
   const std::string seg = dir + "/seg-1.csj";
+  std::string error;
   {
     auto mapped = MappedSegment::Map(seg, false, false, &error);
     ASSERT_NE(mapped, nullptr) << error;
@@ -165,29 +171,94 @@ TEST(PersistStoreTest, SegmentWithRetiredWindowSectionStillRestores) {
       sections.push_back({static_cast<SectionKind>(desc.kind), desc.elem_size,
                           mapped->data() + desc.offset, desc.byte_size});
     }
-    const SectionDesc* windows = mapped->Find(SectionKind::kEncAWindow);
-    ASSERT_NE(windows, nullptr);
-    sections.push_back({static_cast<SectionKind>(24), 4,
-                        mapped->data() + windows->offset, windows->byte_size});
-    const SegmentHeader& header = mapped->header();
-    SegmentParams params;
-    params.entry_count = header.entry_count;
-    params.next_version = header.next_version;
-    params.warm_eps = header.warm_eps;
-    params.warm_parts = header.warm_parts;
-    params.sig_quantiles = header.sig_quantiles;
-    params.flags = header.flags;
-    ASSERT_TRUE(WriteSegment(seg + ".old", params, sections, &error)) << error;
+    const std::vector<uint32_t> payload = make_payload(*mapped);
+    sections.push_back({static_cast<SectionKind>(kind), 4, payload.data(),
+                        payload.size() * sizeof(uint32_t)});
+    ASSERT_TRUE(WriteSegment(seg + ".old", mapped->header(), sections, &error))
+        << error;
   }
   ASSERT_EQ(std::rename((seg + ".old").c_str(), seg.c_str()), 0);
+}
 
-  ExpectRestoresIdentical(dir, catalog);
+/// Each entry's user count, in segment order.
+std::vector<uint32_t> UserCounts(const MappedSegment& segment) {
+  const auto prefix = segment.Column<uint64_t>(SectionKind::kUsersPrefix);
+  std::vector<uint32_t> users;
+  for (size_t i = 0; i + 1 < prefix.size(); ++i) {
+    users.push_back(static_cast<uint32_t>(prefix[i + 1] - prefix[i]));
+  }
+  return users;
+}
+
+FsckReport FsckOf(const std::string& dir) {
   FsckOptions fsck;
   fsck.dir = dir;
   FsckReport report;
-  ASSERT_TRUE(FsckStore(fsck, &report));
+  EXPECT_TRUE(FsckStore(fsck, &report));
+  return report;
+}
+
+TEST(PersistStoreTest, SegmentWithRetiredWindowSectionStillRestores) {
+  // Segments sealed before the Baseline window left the warmup carry one
+  // more section, kind 24. Such a store must still restore byte-identical
+  // and verify clean: readers skip the retired section.
+  EncodingCache cache;
+  service::CommunityCatalog catalog(CatalogOpts(&cache));
+  const std::string dir = SealTenEntries(&catalog);
+  // Shaped like the old community windows: as long as the EncodedA ones.
+  ResealWithSection(dir, 24, [](const MappedSegment& mapped) {
+    const auto windows = mapped.Column<Count>(SectionKind::kEncAWindow);
+    return std::vector<uint32_t>(windows.begin(), windows.end());
+  });
+
+  ExpectRestoresIdentical(dir, catalog);
+  const FsckReport report = FsckOf(dir);
   EXPECT_TRUE(report.clean())
       << (report.findings.empty() ? "" : report.findings[0].message);
+}
+
+TEST(PersistStoreTest, SegmentWithRetiredSampledSectionStillRestores) {
+  // Segments sealed while sketches could be subsampled carry kind 11, one
+  // sketched-user count per entry; every serving writer stored the user
+  // count itself. Such a store restores byte-identical and verifies
+  // clean: readers check the values, then skip the section.
+  EncodingCache cache;
+  service::CommunityCatalog catalog(CatalogOpts(&cache));
+  const std::string dir = SealTenEntries(&catalog);
+  ResealWithSection(dir, 11, UserCounts);
+
+  ExpectRestoresIdentical(dir, catalog);
+  const FsckReport report = FsckOf(dir);
+  EXPECT_TRUE(report.clean())
+      << (report.findings.empty() ? "" : report.findings[0].message);
+}
+
+TEST(PersistStoreTest, RetiredSampledCountBelowUsersFailsGracefully) {
+  // A stored sampled count other than the user count would lower the
+  // prescreen cap (false dismissals) or, at 0, abort in the sketch view.
+  // Restore must refuse it with the graceful "run csj_fsck" error.
+  for (const bool zero : {true, false}) {
+    SCOPED_TRACE(zero ? "sampled 0" : "sampled users - 1");
+    EncodingCache cache;
+    service::CommunityCatalog catalog(CatalogOpts(&cache));
+    const std::string dir = SealTenEntries(&catalog);
+    ResealWithSection(dir, 11, [zero](const MappedSegment& mapped) {
+      std::vector<uint32_t> sampled = UserCounts(mapped);
+      sampled[3] = zero ? 0 : sampled[3] - 1;
+      return sampled;
+    });
+
+    StoreOptions options;
+    options.dir = dir;
+    std::string error;
+    auto store = Store::Open(options, &error);
+    ASSERT_NE(store, nullptr) << error;
+    EncodingCache restored_cache;
+    service::CommunityCatalog restored(CatalogOpts(&restored_cache));
+    EXPECT_FALSE(store->RestoreInto(&restored, &error));
+    EXPECT_NE(error.find("csj_fsck"), std::string::npos) << error;
+    EXPECT_FALSE(FsckOf(dir).clean());
+  }
 }
 
 TEST(PersistStoreTest, LogTailReplaysOnTopOfSealedSegment) {

@@ -1,8 +1,8 @@
 // Core tests for the prescreen signature layer: the quantile-table count
 // bound and the per-couple similarity cap must be SOUND (never below the
-// true count / exact similarity at recall_target 1.0 — this is what the
-// serving fallback contract's exactness proof rests on), sketches must be
-// bit-deterministic across threads and seeds, and the packed
+// true count / exact similarity — this is what the serving fallback
+// contract's exactness proof rests on), sketches must be
+// bit-deterministic across threads, and the packed
 // SignatureIndex must stay consistent through install/replace/remove
 // churn.
 
@@ -46,7 +46,7 @@ TEST(SignatureTest, CountUpperBoundDominatesTrueCount) {
     SignatureOptions options;
     options.quantiles = 2 + static_cast<uint32_t>(rng.Below(20));
     const CommunitySignature signature(community, options);
-    ASSERT_EQ(signature.sampled(), size);
+    ASSERT_EQ(signature.size(), size);
     for (uint32_t probe = 0; probe < 20; ++probe) {
       const Dim k = static_cast<Dim>(rng.Below(d));
       const int64_t lo = static_cast<int64_t>(rng.Below(45)) - 3;
@@ -57,7 +57,7 @@ TEST(SignatureTest, CountUpperBoundDominatesTrueCount) {
         if (v >= lo && v <= hi) ++true_count;
       }
       const uint32_t bound = SignatureCountUpperBound(
-          signature.DimTable(k), signature.sampled(), lo, hi);
+          signature.DimTable(k), signature.size(), lo, hi);
       ASSERT_GE(bound, true_count)
           << "round " << round << " dim " << k << " range [" << lo << ","
           << hi << "]";
@@ -142,7 +142,7 @@ TEST(SignatureTest, EarlyExitNeverChangesTheVerdict) {
   }
 }
 
-TEST(SignatureTest, BuildIsDeterministicAcrossThreadsAndSeedReuse) {
+TEST(SignatureTest, BuildIsDeterministicAcrossThreads) {
   util::Rng rng(testing::TestSeed(4));
   data::VkLikeGenerator gen(data::Category::kFoodRecipes);
   const Community community = data::MakeCommunity(gen, 80, rng);
@@ -161,31 +161,12 @@ TEST(SignatureTest, BuildIsDeterministicAcrossThreadsAndSeedReuse) {
   }
   for (std::thread& thread : crew) thread.join();
   for (const auto& signature : built) {
-    ASSERT_EQ(signature->sampled(), reference.sampled());
+    ASSERT_EQ(signature->size(), reference.size());
     ASSERT_TRUE(std::equal(signature->table().begin(),
                            signature->table().end(),
                            reference.table().begin()));
   }
-
-  // At recall 1.0 the seed is irrelevant — sampling never runs.
-  SignatureOptions reseeded = options;
-  reseeded.seed = 0xDEADBEEFULL;
-  const CommunitySignature reseeded_full(community, reseeded);
-  EXPECT_TRUE(std::equal(reseeded_full.table().begin(),
-                         reseeded_full.table().end(),
-                         reference.table().begin()));
-
-  // Below 1.0: a strict deterministic subsample, same for same seed.
-  SignatureOptions sampled = options;
-  sampled.recall_target = 0.5;
-  const CommunitySignature once(community, sampled);
-  const CommunitySignature twice(community, sampled);
-  EXPECT_EQ(once.sampled(), twice.sampled());
-  EXPECT_TRUE(std::equal(once.table().begin(), once.table().end(),
-                         twice.table().begin()));
-  EXPECT_LT(once.sampled(), once.size());
-  EXPECT_GE(once.sampled(), 1u);
-  EXPECT_EQ(once.size(), community.size());
+  EXPECT_EQ(reference.size(), community.size());
 }
 
 TEST(SignatureTest, ProbeOrderIsAPermutation) {

@@ -31,8 +31,9 @@
 # The persist_smoke gate closes with the memory-mapped store: the 100k
 # catalog checkpoints to a sealed segment, the serve loop's churn flows
 # through the mutation log, and a cold reopen must restore deep-identical
-# state at >= 5x the populate wall clock (timing leg retried once), with
-# csj_fsck auditing the surviving store clean in deep mode.
+# state with its warm load (map + restore + replay) within 1.0 s (timing
+# leg retried once), with csj_fsck auditing the surviving store clean in
+# deep mode.
 #
 # Usage:
 #   tools/ci_perf_smoke.sh [build-dir]          build + sweep + check
@@ -288,40 +289,39 @@ echo "evolve smoke gate passed: ${evolve_json}"
 # store, folds it into a sealed generation, then cold-reopens and
 # restores into a scratch catalog with its own cold cache; the restored
 # state must deep-compare identical (entries, versions, digests, sketch
-# tables, probe verdicts) and the warm load must beat a fresh populate
-# by >= 5x. Identity is a hard gate (csj_serve also exits non-zero
-# itself on a mismatch); the speedup claim is a timing measurement on a
-# shared CI box, so a miss is retried ONCE on a fresh run before
-# failing. The store directory is recreated per leg so the comparison
-# never rides a stale generation. csj_fsck then audits the surviving
-# store in deep mode — recomputing digests, sketches, and encodings from
-# the mapped payloads — and must exit clean.
+# tables, probe verdicts) and the warm load (map + restore + replay) must
+# finish within 1.0 s — a budget of its own, not a multiple of populate,
+# which moves whenever populate gets cheaper. Identity is a hard gate;
+# the budget is a timing measurement on a shared CI box, so a miss is
+# retried ONCE on a fresh store before failing. csj_fsck then audits the
+# surviving store in deep mode — recomputing digests, sketches, and
+# encodings from the mapped payloads — and must exit clean.
 persist_json="${build_dir}/persist_smoke.json"
 persist_dir="${build_dir}/persist_smoke_store"
-run_persist_leg() {
-  rm -rf "${persist_dir}"
-  "${build_dir}/tools/csj_serve" \
-    --catalog_size=100000 --size=40 --cluster=12 --plant_lo=0.5 \
-    --plant_hi=0.8 --k=5 --requests=20 --clients=2 --workers=2 \
-    --zipf=1.1 --upsert_fraction=0.05 --prescreen=true --compare=0 \
-    --store_dir="${persist_dir}" --persist_compare=true \
-    --json="${persist_json}" \
-    --git_sha="${git_sha}" --build_type=Release
-}
-run_persist_leg
-if ! grep -Eq '"identical": ?true' "${persist_json}"; then
-  echo "FAIL: restored store diverged from the live catalog in ${persist_json}" >&2
-  exit 1
-fi
-if ! grep -Eq '"speedup_ok": ?true' "${persist_json}"; then
-  echo "persist_smoke: warm load < 5x populate on first run, retrying once" >&2
-  run_persist_leg
-  if ! grep -Eq '"identical": ?true' "${persist_json}"; then
-    echo "FAIL: restored store diverged from the live catalog in ${persist_json}" >&2
+# One leg on a fresh store: the identity gate (hard), then exit status 0
+# when the warm load (map + restore + replay) is within 1.0 s.
+persist_leg() {
+  rm -rf "${persist_dir}" "${persist_json}"
+  if ! "${build_dir}/tools/csj_serve" \
+      --catalog_size=100000 --size=40 --cluster=12 --plant_lo=0.5 \
+      --plant_hi=0.8 --k=5 --requests=20 --clients=2 --workers=2 \
+      --zipf=1.1 --upsert_fraction=0.05 --prescreen=true --compare=0 \
+      --store_dir="${persist_dir}" --persist_compare=true \
+      --json="${persist_json}" \
+      --git_sha="${git_sha}" --build_type=Release ||
+    ! grep -Eq '"identical": ?true' "${persist_json}"; then
+    echo "FAIL: csj_serve failed, or the restored store diverged from the live catalog, in ${persist_json}" >&2
     exit 1
   fi
-  if ! grep -Eq '"speedup_ok": ?true' "${persist_json}"; then
-    echo "FAIL: warm load < 5x populate on both runs in ${persist_json}" >&2
+  warm_s=$(sed -n 's/.*"warm_load_seconds": *\([0-9.eE+-]*\).*/\1/p' \
+    "${persist_json}" | head -n 1)
+  echo "persist_smoke: warm load ${warm_s:-missing} s (budget 1.0 s)"
+  [ -n "${warm_s}" ] && awk -v s="${warm_s}" 'BEGIN { exit !(s <= 1.0) }'
+}
+if ! persist_leg; then
+  echo "persist_smoke: warm load over 1.0 s on first run, retrying once" >&2
+  if ! persist_leg; then
+    echo "FAIL: warm load over 1.0 s on both runs in ${persist_json}" >&2
     exit 1
   fi
 fi

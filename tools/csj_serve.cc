@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
   flags.Define("persist_compare", "false",
                "after the loop: checkpoint, re-open the store cold, "
                "restore into a scratch catalog and deep-verify byte "
-               "identity; gates warm-load speedup >= 5x over populate");
+               "identity; reports the warm load next to the populate");
   flags.Define("seed", "42", "workload seed");
   flags.Define("json", "", "write the results as JSON to this path");
   flags.Define("git_sha", "", "source revision stamped into the JSON");
@@ -608,10 +608,10 @@ int main(int argc, char** argv) {
   // The persistence gate: quiesce the log, fold the loop's churn into a
   // fresh sealed generation, then open the SAME directory through a cold
   // store handle and prove the restored catalog is byte-identical to the
-  // live one (snapshots, versions, cache residency, index layout) — and
-  // that the warm load beats the fresh populate by >= 5x.
+  // live one (snapshots, versions, cache residency, index layout). The
+  // warm load (map + restore + replay) is reported, not gated: its budget
+  // belongs to the caller (tools/ci_perf_smoke.sh).
   bool persist_identical = true;
-  bool persist_speedup_ok = true;
   double persist_load_seconds = load_seconds;
   double persist_speedup = 0.0;
   long persist_minflt = load_minflt;
@@ -656,19 +656,15 @@ int main(int argc, char** argv) {
     persist_identical = csj::service::CatalogsIdentical(
         server.catalog(), scratch, workload_options.eps,
         prescreen_threshold);
-    // The speedup gate needs a fresh-populate baseline from THIS run;
-    // a warm-restarted run reports the load time without gating.
+    // The speedup needs a fresh-populate baseline from THIS run; a
+    // warm-restarted run reports 0.
     persist_speedup = persist_load_seconds > 0.0
                           ? populate_seconds / persist_load_seconds
                           : 0.0;
-    persist_speedup_ok = populate_seconds <= 0.0 || persist_speedup >= 5.0;
     std::printf(
-        "persist compare: populate %.2f s vs warm load %.3f s -> %.1fx "
-        "speedup (%s), state %s; load faults %ld minor / %ld major\n",
+        "persist compare: populate %.2f s vs warm load %.3f s -> %.1fx, "
+        "state %s; load faults %ld minor / %ld major\n",
         populate_seconds, persist_load_seconds, persist_speedup,
-        populate_seconds <= 0.0 ? "no fresh baseline"
-        : persist_speedup_ok    ? ">=5x ok"
-                                : ">=5x FAIL",
         persist_identical ? "identical" : "MISMATCH", persist_minflt,
         persist_majflt);
   }
@@ -966,7 +962,6 @@ int main(int argc, char** argv) {
     json.Key("populate_seconds"); json.Double(populate_seconds);
     json.Key("load_seconds"); json.Double(persist_load_seconds);
     json.Key("speedup"); json.Double(persist_speedup);
-    json.Key("speedup_ok"); json.Bool(persist_speedup_ok);
     json.Key("identical"); json.Bool(persist_identical);
     json.Key("save_seconds");
     json.Double(save_stats.snapshot_seconds + save_stats.write_seconds +
@@ -986,6 +981,12 @@ int main(int argc, char** argv) {
     json.Key("replay_seconds");
     json.Double(persist_compare ? reopen_stats.replay_seconds
                                 : open_stats.replay_seconds);
+    // Map + restore + replay: the whole warm load of a cold reopen.
+    const csj::persist::OpenStats& warm =
+        persist_compare ? reopen_stats : open_stats;
+    json.Key("warm_load_seconds");
+    json.Double(warm.map_seconds + warm.restore_seconds +
+                warm.replay_seconds);
     json.Key("log_records_replayed");
     json.Uint(persist_compare ? reopen_stats.log_records_replayed
                               : open_stats.log_records_replayed);
@@ -1042,7 +1043,7 @@ int main(int argc, char** argv) {
   // cached, networked, and bulk-populate arms are all held to the same
   // byte-identity bar as the prescreen arm.
   return (serve_ok && compare_identical && cache_identity && net_identity &&
-          populate_identical && persist_identical && persist_speedup_ok)
+          populate_identical && persist_identical)
              ? 0
              : 1;
 }

@@ -28,7 +28,8 @@
 #                               store: populate, checkpoint to a sealed
 #                               columnar segment, log the serve loop's
 #                               churn, fold, cold-reopen. Reports save
-#                               wall time, warm-load vs populate speedup,
+#                               wall time, warm load (map + restore +
+#                               replay) and its speedup over populate,
 #                               page-fault deltas (minor/major) for the
 #                               mapped load, and the deep state-identity
 #                               verdict in the persist section.
