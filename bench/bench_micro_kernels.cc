@@ -1,15 +1,20 @@
 // google-benchmark microbenchmarks for csjoin's hot kernels: the epsilon
 // predicate, the MinMax encoder, encoded-buffer construction, EGO sort,
-// and the one-to-one matchers.
+// the one-to-one matchers, and one Ex-MinMax refine join.
 
 #include <bit>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "core/community.h"
 #include "core/encoding.h"
+#include "core/encoding_cache.h"
 #include "core/epsilon_predicate.h"
+#include "core/method.h"
+#include "data/community_sampler.h"
+#include "data/generator.h"
 #include "ego/normalized.h"
 #include "matching/csf.h"
 #include "matching/hopcroft_karp.h"
@@ -270,6 +275,47 @@ void BM_HopcroftKarp(benchmark::State& state) {
                           static_cast<int64_t>(edges.size()));
 }
 BENCHMARK(BM_HopcroftKarp)->Arg(1024)->Arg(8192);
+
+/// One Ex-MinMax refine join on the serving couple shape: a 40-user
+/// query planted against a 40-user catalog entry at 0.5-0.8 similarity
+/// (the serving workloads' cluster grades), eps 1, warm EncodingCache.
+/// Arg = join_threads. This is the per-join cost behind a top-k query's
+/// refine phase, cycled over 64 couples.
+void BM_ExMinMaxRefineJoin(benchmark::State& state) {
+  constexpr uint32_t kCouples = 64;
+  csj::util::Rng rng(7);
+  csj::data::VkLikeGenerator gen(csj::data::Category::kSport);
+  std::vector<std::pair<Community, Community>> couples;
+  for (uint32_t i = 0; i < kCouples; ++i) {
+    Community entry = csj::data::MakeCommunity(gen, 40, rng);
+    csj::data::CoupleSpec spec;
+    spec.size_b = 40;
+    spec.eps = 1;
+    spec.target_similarity = 0.5 + 0.3 * static_cast<double>(i % 5) / 4.0;
+    Community query =
+        csj::data::PlantCommunityAgainst(entry, gen, spec, rng);
+    couples.emplace_back(std::move(query), std::move(entry));
+  }
+  csj::EncodingCache cache;
+  csj::JoinOptions options;
+  options.eps = 1;
+  options.cache = &cache;
+  options.join_threads = static_cast<uint32_t>(state.range(0));
+  for (const auto& [query, entry] : couples) {
+    csj::RunMethod(csj::Method::kExMinMax, query, entry, options);
+  }
+  uint64_t pairs = 0;
+  uint32_t i = 0;
+  for (auto _ : state) {
+    const auto& [query, entry] = couples[i++ % kCouples];
+    pairs += csj::RunMethod(csj::Method::kExMinMax, query, entry, options)
+                 .pairs.size();
+  }
+  state.counters["pairs_per_join"] = benchmark::Counter(
+      static_cast<double>(pairs), benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ExMinMaxRefineJoin)->Arg(1)->Arg(4);
 
 }  // namespace
 

@@ -1,16 +1,13 @@
 #include "core/baseline.h"
 
 #include <algorithm>
-#include <bit>
 #include <memory>
 #include <vector>
 
 #include "core/encoding_cache.h"
 #include "core/epsilon_predicate.h"
 #include "core/join_scratch.h"
-#include "matching/matcher.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace csj {
@@ -100,10 +97,9 @@ JoinResult ExBaselineJoin(const Community& b, const Community& a,
   const uint32_t nb = b.size();
   const uint32_t na = a.size();
 
-  // Candidate collection partitions B's rows; per-chunk arena buffers are
-  // concatenated in chunk order so any thread count yields the serial
-  // result. Event logging pins the run to one chunk and (because events
-  // must flow one pair at a time) disables batching.
+  // Candidate collection chunks B's rows. Event logging pins the run to
+  // one chunk and (because events must flow one pair at a time) disables
+  // batching.
   const uint32_t threads = options.event_log != nullptr
                                ? 1
                                : std::max<uint32_t>(options.join_threads, 1);
@@ -114,39 +110,23 @@ JoinResult ExBaselineJoin(const Community& b, const Community& a,
       batched ? AcquireBaselineWindow(a, options, &keepalive, &result.stats)
               : nullptr;
 
-  const uint32_t chunks = util::ParallelChunks(0, nb, threads);
-  const std::span<internal::ChunkSlot> slots =
-      internal::GetJoinScratch().chunk_arenas.Acquire(chunks);
-  util::ParallelFor(
-      0, nb, threads,
-      [&](uint32_t chunk_begin, uint32_t chunk_end, uint32_t chunk) {
-        std::vector<MatchedPair>& local = slots[chunk].edges;
-        JoinStats& stats = slots[chunk].stats;
+  const std::vector<MatchedPair>& candidates = internal::CollectCandidates(
+      nb, threads, options.pool,
+      [&](uint32_t chunk_begin, uint32_t chunk_end, internal::ChunkSlot* slot) {
+        std::vector<MatchedPair>& local = slot->edges;
         if (batched) {
           // Exact baseline wants every verdict of the row anyway, so the
-          // whole row is one kernel call; survivors come back as a
-          // bitmask walked in ascending ia order (identical pair order),
-          // and the event tallies collapse to popcounts.
-          const uint32_t words = (na + 63) / 64;
+          // whole row is one kernel call whose survivor bitmask is walked
+          // in ascending ia order (identical pair order).
           std::vector<uint64_t>& mask = internal::GetJoinScratch().mask;
-          mask.resize(words);
+          mask.resize((na + 63) / 64);
           for (UserId ib = chunk_begin; ib < chunk_end; ++ib) {
             EpsilonMatchesMany(b.User(ib), *window, 0, na, options.eps,
                                mask.data());
-            uint64_t found = 0;
-            for (uint32_t w = 0; w < words; ++w) {
-              uint64_t word = mask[w];
-              found += static_cast<uint64_t>(std::popcount(word));
-              while (word != 0) {
-                const UserId ia =
-                    w * 64 + static_cast<uint32_t>(std::countr_zero(word));
-                local.push_back(MatchedPair{ib, ia});
-                word &= word - 1;
-              }
-            }
-            stats.matches += found;
-            stats.no_matches += na - found;
-            stats.dimension_compares += na;
+            internal::WalkRunMask(mask.data(), na, &slot->stats,
+                                  [&](uint32_t ia) {
+                                    local.push_back(MatchedPair{ib, ia});
+                                  });
           }
           return;
         }
@@ -156,7 +136,7 @@ JoinResult ExBaselineJoin(const Community& b, const Community& a,
             const Event event = EpsilonMatches(vb, a.User(ia), options.eps)
                                     ? Event::kMatch
                                     : Event::kNoMatch;
-            stats.Count(event);
+            slot->stats.Count(event);
             if (options.event_log != nullptr) {
               options.event_log->Add(event, ib, ia);
             }
@@ -164,23 +144,8 @@ JoinResult ExBaselineJoin(const Community& b, const Community& a,
           }
         }
       },
-      options.pool);
-
-  // Chunk-order merge into per-thread scratch: byte-identical to the
-  // serial run, no allocation after the first join warms the capacity.
-  std::vector<MatchedPair>& candidates = internal::GetJoinScratch().candidates;
-  candidates.clear();
-  for (uint32_t chunk = 0; chunk < chunks; ++chunk) {
-    result.stats.Merge(slots[chunk].stats);
-    candidates.insert(candidates.end(), slots[chunk].edges.begin(),
-                      slots[chunk].edges.end());
-  }
-
-  result.stats.candidate_pairs = candidates.size();
-  result.stats.csf_flushes = 1;
-  util::Timer match_timer;
-  result.pairs = matching::RunMatcher(options.matcher, candidates);
-  result.stats.matching_seconds = match_timer.Seconds();
+      &result.stats);
+  internal::MatchCandidates(options.matcher, candidates, &result);
   result.stats.seconds = timer.Seconds();
   return result;
 }

@@ -12,9 +12,7 @@
 #include "ego/dimension_reorder.h"
 #include "ego/ego_join.h"
 #include "ego/integer_grid.h"
-#include "matching/matcher.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace csj {
@@ -213,16 +211,11 @@ JoinResult ExMinMaxEgoJoin(const Community& b, const Community& a,
   ego::EgoStats ego_stats;
   const std::vector<internal::LeafTask> tasks =
       internal::CollectLeafTasks(prep.tree_b, prep.tree_a, &ego_stats);
-  const uint32_t threads = std::max<uint32_t>(options.join_threads, 1);
-  const auto num_tasks = static_cast<uint32_t>(tasks.size());
-  const uint32_t chunks = util::ParallelChunks(0, num_tasks, threads);
-  const std::span<internal::ChunkSlot> slots =
-      internal::GetJoinScratch().chunk_arenas.Acquire(chunks);
-  util::ParallelFor(
-      0, num_tasks, threads,
-      [&](uint32_t task_begin, uint32_t task_end, uint32_t chunk) {
-        std::vector<MatchedPair>& local = slots[chunk].edges;
-        JoinStats& stats = slots[chunk].stats;
+  const std::vector<MatchedPair>& candidates = internal::CollectCandidates(
+      static_cast<uint32_t>(tasks.size()),
+      std::max<uint32_t>(options.join_threads, 1), options.pool,
+      [&](uint32_t task_begin, uint32_t task_end, internal::ChunkSlot* slot) {
+        JoinStats& stats = slot->stats;
         // The encoded filter punches holes in the run, so the lazy
         // chunked verifier (which only spends kernel lanes on queried
         // regions) fits better than a full-run mask here.
@@ -244,30 +237,17 @@ JoinResult ExMinMaxEgoJoin(const Community& b, const Community& a,
                                      : EpsilonMatches(vb, prep.a.Row(ra), eps);
               stats.Count(match ? Event::kMatch : Event::kNoMatch);
               if (match) {
-                local.push_back(MatchedPair{prep.b.ids[rb], prep.a.ids[ra]});
+                slot->edges.push_back(
+                    MatchedPair{prep.b.ids[rb], prep.a.ids[ra]});
               }
             }
           }
         }
       },
-      options.pool);
-
-  // Chunk-order merge into per-thread scratch (serial-identical, and the
-  // buffer's capacity survives across joins).
-  std::vector<MatchedPair>& candidates = internal::GetJoinScratch().candidates;
-  candidates.clear();
-  for (uint32_t chunk = 0; chunk < chunks; ++chunk) {
-    result.stats.Merge(slots[chunk].stats);
-    candidates.insert(candidates.end(), slots[chunk].edges.begin(),
-                      slots[chunk].edges.end());
-  }
+      &result.stats);
 
   result.stats.min_prunes = ego_stats.strategy_prunes;
-  result.stats.candidate_pairs = candidates.size();
-  result.stats.csf_flushes = 1;
-  util::Timer match_timer;
-  result.pairs = matching::RunMatcher(options.matcher, candidates);
-  result.stats.matching_seconds = match_timer.Seconds();
+  internal::MatchCandidates(options.matcher, candidates, &result);
   result.stats.seconds = timer.Seconds();
   return result;
 }

@@ -1,13 +1,17 @@
 #ifndef CSJ_CORE_JOIN_SCRATCH_H_
 #define CSJ_CORE_JOIN_SCRATCH_H_
 
+#include <bit>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/epsilon_predicate.h"
 #include "core/join_result.h"
 #include "matching/matcher.h"
+#include "util/parallel.h"
+#include "util/timer.h"
 
 namespace csj {
 namespace internal {
@@ -18,9 +22,8 @@ namespace internal {
 /// examined pair) never share a line — with 8 workers the per-event
 /// false-sharing traffic otherwise dominates small joins.
 struct alignas(128) ChunkSlot {
-  /// Candidate edges in scan order. The exact methods store whatever edge
-  /// representation their merge wants (real ids, or sorted-buffer indices
-  /// for Ex-MinMax's segment replay).
+  /// Candidate edges in scan order: real ids for the CollectCandidates
+  /// callers, sorted-buffer indices for Ex-MinMax's segment replay.
   std::vector<MatchedPair> edges;
   JoinStats stats;
 };
@@ -52,9 +55,10 @@ class ChunkArenas {
 /// Reusable per-thread temporaries for the join hot paths.
 ///
 /// Every join method executes on exactly one thread (the pipeline's
-/// cross-couple parallelism hands each couple to one worker; the
-/// intra-join ParallelFor bodies use chunk-local buffers, never this),
-/// so a thread_local instance is race-free and lets repeated joins reuse
+/// cross-couple parallelism hands each couple to one worker; an
+/// intra-join chunk body writes its own ChunkSlot and touches only the
+/// EXECUTING thread's scan temporaries, `survivors` and `mask`), so a
+/// thread_local instance is race-free and lets repeated joins reuse
 /// capacity instead of re-allocating their bookkeeping vectors on every
 /// call — the dominant constant cost when screening thousands of small
 /// couples.
@@ -112,6 +116,83 @@ struct JoinScratch {
 inline JoinScratch& GetJoinScratch() {
   thread_local JoinScratch scratch;
   return scratch;
+}
+
+/// The exact joins' candidate scan: runs `body(begin, end, slot)` over a
+/// static partition of [0, n) into at most `threads` chunks, each filling
+/// its own slot of the calling thread's ChunkArenas. One chunk (every
+/// `threads == 1` run) executes inline with no pool interaction. The
+/// partition depends only on n and `threads`, so a merge that walks the
+/// returned slots in chunk order sees the serial scan's output.
+template <typename Body>
+std::span<ChunkSlot> ScanChunks(uint32_t n, uint32_t threads,
+                                util::ThreadPool* pool, const Body& body) {
+  const std::span<ChunkSlot> slots = GetJoinScratch().chunk_arenas.Acquire(
+      util::ParallelChunks(0, n, threads));
+  util::ParallelFor(
+      0, n, threads,
+      [&](uint32_t begin, uint32_t end, uint32_t chunk) {
+        body(begin, end, &slots[chunk]);
+      },
+      pool);
+  return slots;
+}
+
+/// ScanChunks, then the chunk-order merge: slot counters sum into
+/// `stats` and slot edges concatenate into the calling thread's candidate
+/// buffer, which is returned (valid until this thread's next join).
+template <typename Body>
+const std::vector<MatchedPair>& CollectCandidates(uint32_t n, uint32_t threads,
+                                                  util::ThreadPool* pool,
+                                                  const Body& body,
+                                                  JoinStats* stats) {
+  std::vector<MatchedPair>& candidates = GetJoinScratch().candidates;
+  candidates.clear();
+  for (const ChunkSlot& slot : ScanChunks(n, threads, pool, body)) {
+    stats->Merge(slot.stats);
+    candidates.insert(candidates.end(), slot.edges.begin(), slot.edges.end());
+  }
+  return candidates;
+}
+
+/// The exact joins' verify step: hands one candidate list to the
+/// configured one-to-one matcher, counts its candidates, one CSF flush
+/// and the matching time, and appends the matched pairs to
+/// `result->pairs`.
+inline void MatchCandidates(matching::MatcherKind matcher,
+                            const std::vector<MatchedPair>& candidates,
+                            JoinResult* result) {
+  result->stats.candidate_pairs += candidates.size();
+  ++result->stats.csf_flushes;
+  const util::Timer timer;
+  std::vector<MatchedPair> matched = matching::RunMatcher(matcher, candidates);
+  result->stats.matching_seconds += timer.Seconds();
+  if (result->pairs.empty()) {
+    result->pairs = std::move(matched);
+  } else {
+    result->pairs.insert(result->pairs.end(), matched.begin(), matched.end());
+  }
+}
+
+/// Walks the survivor bitmask of one full-run EpsilonMatchesMany call
+/// over `run` candidates: tallies the verdicts into `stats` by popcount
+/// and calls `emit(offset)` for each survivor in ascending offset order
+/// (the per-pair scan's pair order).
+template <typename Emit>
+void WalkRunMask(const uint64_t* mask, uint32_t run, JoinStats* stats,
+                 const Emit& emit) {
+  uint64_t found = 0;
+  for (uint32_t w = 0; w < (run + 63) / 64; ++w) {
+    uint64_t word = mask[w];
+    found += static_cast<uint64_t>(std::popcount(word));
+    while (word != 0) {
+      emit(w * 64 + static_cast<uint32_t>(std::countr_zero(word)));
+      word &= word - 1;
+    }
+  }
+  stats->matches += found;
+  stats->no_matches += run - found;
+  stats->dimension_compares += run;
 }
 
 }  // namespace internal

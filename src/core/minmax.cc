@@ -160,22 +160,23 @@ void PrescreenCandidates(const EncodedA& encd_a, uint64_t id,
   stats->no_overlaps += no_overlaps;
 }
 
-// ---- Intra-join parallel Ex-MinMax scan ------------------------------
+// ---- Chunked Ex-MinMax scan -------------------------------------------
 //
 // The exact scan is sequential on the surface (the skippable-prefix
-// offset and the open CSF segment both thread through the probe loop),
-// but both pieces of state are pure functions of the input:
+// offset and the open CSF segment both thread through the probe loop of
+// the traced scalar scan), but both pieces of state are pure functions
+// of the input:
 //
 //  * The offset entering probe ib equals min(F, R) evaluated at
 //    id(ib - 1), where F(x) = first A entry with encoded_max >= x and
-//    R(x) = UpperBound(x). (Induction over the serial loop: entries are
+//    R(x) = UpperBound(x). (Induction over the scalar loop: entries are
 //    only prefix-skipped once their encoded_max drops below some probe
 //    id, probe ids are non-decreasing, and both F and R are monotone in
 //    the id.) A chunk starting at ib therefore recomputes its entry
 //    offset locally with one bounded scan — no cross-chunk handoff.
 //
 //  * Segment boundaries depend only on the matched-edge stream: between
-//    edge groups of probes bi < bj the serial loop flushes iff some
+//    edge groups of probes bi < bj the scalar loop flushes iff some
 //    intermediate next_id exceeds maxV, and since ids are non-decreasing
 //    that maximum IS id(bj). So the merge step can replay the exact
 //    segment partition (same CSF calls, same flush count, same pair
@@ -184,10 +185,11 @@ void PrescreenCandidates(const EncodedA& encd_a, uint64_t id,
 // Hence: chunks scan disjoint probe ranges of B, counting events and
 // collecting candidate edges into per-chunk arenas; the merge
 // concatenates arenas in chunk order, sums the counters, and replays the
-// segment-close rule. Byte-identical to the serial run for any
-// join_threads (asserted per method and thread count by the tests).
+// segment-close rule. Every untraced run takes this path (join_threads 1
+// is one chunk) and is byte-identical to the traced scalar loop for any
+// join_threads (asserted by the tests).
 
-/// One chunk of the parallel Ex-MinMax scan over probes
+/// One chunk of the Ex-MinMax scan over probes
 /// [b_begin, b_end). Edges are emitted as SORTED-BUFFER index pairs
 /// (ib, ia) — the merge needs encoded ids and maxes, which the indices
 /// reach without a second lookup structure.
@@ -201,7 +203,7 @@ void ScanExMinMaxChunk(const Community& b, const Community& a,
 
   uint32_t offset = 0;
   if (b_begin > 0) {
-    // Replay the serial run's prefix-skip state after probe b_begin - 1,
+    // Replay the scalar loop's prefix-skip state after probe b_begin - 1,
     // WITHOUT counting: these MAX PRUNEs were already charged to earlier
     // probes (i.e. to the previous chunks).
     const uint64_t prev_id = encd_b.encoded_id(b_begin - 1);
@@ -218,6 +220,8 @@ void ScanExMinMaxChunk(const Community& b, const Community& a,
     const UserId real_b = encd_b.real_id(ib);
     const std::span<const Count> vb = b.User(real_b);
     const uint32_t reach = encd_a.UpperBound(id);
+    // The skippable prefix: entries whose encoded_max every later
+    // (larger-id) probe also exceeds — the traced loop's `skip` rule.
     uint32_t advanced = offset;
     while (advanced < reach && id > maxs[advanced]) ++advanced;
     stats.max_prunes += advanced - offset;
@@ -373,8 +377,8 @@ JoinResult ExMinMaxJoin(const Community& b, const Community& a,
   uint64_t max_v = 0;
 
   // Deferred per-segment matching: with matching_threads > 1 a flushed
-  // segment is enqueued on the farm instead of matched inline, and
-  // drain_farm() runs all segments as pool tasks before the join returns.
+  // segment is enqueued on the farm instead of matched inline, and the
+  // farm runs all segments as pool tasks before the join returns.
   // The segment partition is a pure function of the candidate-edge stream
   // and the farm appends matched pairs in segment order, so pairs and
   // every counter are byte-identical to the inline path for any value.
@@ -386,58 +390,34 @@ JoinResult ExMinMaxJoin(const Community& b, const Community& a,
   farm.Reset();
 
   auto flush_segment = [&]() {
-    if (segment.empty()) {
-      max_v = 0;
-      return;
-    }
-    result.stats.candidate_pairs += segment.size();
-    ++result.stats.csf_flushes;
+    max_v = 0;
+    if (segment.empty()) return;
     if (matching_threads > 1) {
+      result.stats.candidate_pairs += segment.size();
+      ++result.stats.csf_flushes;
       farm.Enqueue(&segment);
     } else {
-      util::Timer match_timer;
-      std::vector<MatchedPair> matched =
-          matching::RunMatcher(options.matcher, segment);
-      result.stats.matching_seconds += match_timer.Seconds();
-      result.pairs.insert(result.pairs.end(), matched.begin(), matched.end());
+      internal::MatchCandidates(options.matcher, segment, &result);
       segment.clear();
     }
-    max_v = 0;
   };
 
-  auto drain_farm = [&]() {
-    if (matching_threads <= 1) return;
-    util::Timer match_timer;
-    farm.MatchAll(options.matcher, matching_threads, options.pool,
-                  &result.pairs);
-    result.stats.matching_seconds += match_timer.Seconds();
-  };
-
-  const uint32_t threads = options.event_log != nullptr
-                               ? 1
-                               : std::max<uint32_t>(options.join_threads, 1);
-  if (threads > 1 && nb > 1) {
-    // Intra-join parallel scan: chunks of B's probes fill per-chunk
-    // arenas (on the pool), then the calling thread merges in chunk
-    // order — counters sum, and the segment-close rule is replayed over
-    // the concatenated edge stream so the CSF segments (hence pairs and
-    // flush count) are byte-identical to the serial scan below.
-    internal::JoinScratch& scratch = internal::GetJoinScratch();
-    const uint32_t chunks = util::ParallelChunks(0, nb, threads);
-    const std::span<internal::ChunkSlot> slots =
-        scratch.chunk_arenas.Acquire(chunks);
-    util::ParallelFor(
-        0, nb, threads,
-        [&](uint32_t lo, uint32_t hi, uint32_t chunk) {
-          ScanExMinMaxChunk(b, a, encd_b, encd_a, options, lo, hi,
-                            &slots[chunk]);
-        },
-        options.pool);
-
+  if (options.event_log == nullptr) {
+    // Untraced runs, any join_threads (1 = one chunk, run inline): chunks
+    // of B's probes fill per-chunk arenas, then the calling thread merges
+    // in chunk order — counters sum, and the segment-close rule is
+    // replayed over the concatenated edge stream so the CSF segments
+    // (hence pairs and flush count) are byte-identical to the traced
+    // scalar loop below.
+    const std::span<internal::ChunkSlot> slots = internal::ScanChunks(
+        nb, std::max<uint32_t>(options.join_threads, 1), options.pool,
+        [&](uint32_t lo, uint32_t hi, internal::ChunkSlot* slot) {
+          ScanExMinMaxChunk(b, a, encd_b, encd_a, options, lo, hi, slot);
+        });
     uint64_t last_ib = UINT64_MAX;  // no valid probe index
-    for (uint32_t chunk = 0; chunk < chunks; ++chunk) {
-      result.stats.Merge(slots[chunk].stats);
-      for (const MatchedPair& edge : slots[chunk].edges) {
+    for (const internal::ChunkSlot& slot : slots) {
+      result.stats.Merge(slot.stats);
+      for (const MatchedPair& edge : slot.edges) {
         const uint32_t ib = edge.b;  // sorted-buffer indices, not real ids
         const uint32_t ia = edge.a;
         if (!segment.empty() && ib != last_ib &&
@@ -451,65 +431,21 @@ JoinResult ExMinMaxJoin(const Community& b, const Community& a,
       }
     }
     flush_segment();
-    drain_farm();
+    if (matching_threads > 1) {
+      const util::Timer match_timer;
+      farm.MatchAll(options.matcher, matching_threads, options.pool,
+                    &result.pairs);
+      result.stats.matching_seconds += match_timer.Seconds();
+    }
     result.stats.seconds = timer.Seconds();
     return result;
   }
 
+  // Traced runs: one event per candidate in scan order, as the figures
+  // replay them. Also the independent reference the tests hold the
+  // chunked scan to.
   LazyBatchVerifier<Count, Epsilon> verifier;
   uint32_t offset = 0;
-
-  if (options.event_log == nullptr) {
-    // Hot path: prescreen the whole reachable run branch-free, then
-    // verify only the survivors. Identical pairs and stats as the scalar
-    // loop below — that one is kept for traced runs, which need one event
-    // per candidate in scan order.
-    std::vector<uint32_t>& survivors = internal::GetJoinScratch().survivors;
-    const uint64_t* maxs = encd_a.encoded_maxs();
-    for (uint32_t ib = 0; ib < nb; ++ib) {
-      const uint64_t id = encd_b.encoded_id(ib);
-      const UserId real_b = encd_b.real_id(ib);
-      const std::span<const Count> vb = b.User(real_b);
-      const uint32_t reach = encd_a.UpperBound(id);
-      // The skippable prefix: entries whose encoded_max every later
-      // (larger-id) probe also exceeds. Same rule as `skip` below.
-      uint32_t advanced = offset;
-      while (advanced < reach && id > maxs[advanced]) ++advanced;
-      result.stats.max_prunes += advanced - offset;
-      offset = advanced;
-
-      survivors.clear();
-      PrescreenCandidates(encd_a, id, encd_b.part_sums(ib), offset, reach,
-                          &result.stats, &survivors);
-      const bool batched = options.batch_verify && reach > offset &&
-                           reach - offset >= kEpsilonBlock;
-      if (batched) verifier.Start(encd_a.window(), vb, options.eps, reach);
-      for (const uint32_t ia : survivors) {
-        const UserId real_a = encd_a.real_id(ia);
-        const bool match = batched
-                               ? verifier.Matches(ia)
-                               : EpsilonMatches(vb, a.User(real_a),
-                                                options.eps);
-        if (match) {
-          result.stats.Count(Event::kMatch);
-          segment.push_back(MatchedPair{real_b, real_a});
-          if (encd_a.encoded_max(ia) > max_v) max_v = encd_a.encoded_max(ia);
-        } else {
-          result.stats.Count(Event::kNoMatch);
-        }
-      }
-      if (reach < na) result.stats.Count(Event::kMinPrune);
-
-      const uint64_t next_id =
-          ib + 1 < nb ? encd_b.encoded_id(ib + 1) : UINT64_MAX;
-      if (next_id > max_v) flush_segment();
-    }
-    flush_segment();
-    drain_farm();
-    result.stats.seconds = timer.Seconds();
-    return result;
-  }
-
   for (uint32_t ib = 0; ib < nb; ++ib) {
     const uint64_t id = encd_b.encoded_id(ib);
     const UserId real_b = encd_b.real_id(ib);
@@ -564,7 +500,6 @@ JoinResult ExMinMaxJoin(const Community& b, const Community& a,
     if (next_id > max_v) flush_segment();
   }
   flush_segment();  // defensive: loop above already flushed at ib == nb-1
-  drain_farm();     // no-op here: event_log pins matching_threads to 1
 
   result.stats.seconds = timer.Seconds();
   return result;

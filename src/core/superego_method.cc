@@ -1,7 +1,6 @@
 #include "core/superego_method.h"
 
 #include <algorithm>
-#include <bit>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -12,9 +11,7 @@
 #include "ego/dimension_reorder.h"
 #include "ego/ego_join.h"
 #include "ego/normalized.h"
-#include "matching/matcher.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace csj {
@@ -90,14 +87,6 @@ Prepared PrepareSuperEgo(const Community& b, const Community& a,
   return prep;
 }
 
-void FoldEgoStats(const ego::EgoStats& ego_stats, JoinStats* stats) {
-  // The EGO strategy plays the pruning role MIN/MAX PRUNE play in MinMax;
-  // surface its activity through the same counters so the benches can
-  // print one uniform stats row per method.
-  stats->min_prunes = ego_stats.strategy_prunes;
-  stats->csf_flushes += ego_stats.leaf_joins;
-}
-
 }  // namespace
 
 JoinResult ApSuperEgoJoin(const Community& b, const Community& a,
@@ -148,8 +137,10 @@ JoinResult ApSuperEgoJoin(const Community& b, const Community& a,
       },
       &ego_stats);
 
-  FoldEgoStats(ego_stats, &result.stats);
-  result.stats.csf_flushes = 0;  // approximate: no matcher runs
+  // The EGO strategy plays the pruning role MIN/MAX PRUNE play in MinMax;
+  // it surfaces through the same counter so the benches print one uniform
+  // stats row per method.
+  result.stats.min_prunes = ego_stats.strategy_prunes;
   result.stats.seconds = timer.Seconds();
   return result;
 }
@@ -172,16 +163,12 @@ JoinResult ExSuperEgoJoin(const Community& b, const Community& a,
   // results for any thread count).
   const std::vector<internal::LeafTask> tasks =
       internal::CollectLeafTasks(prep.b->tree, prep.a->tree, &ego_stats);
-  const uint32_t threads = std::max<uint32_t>(options.join_threads, 1);
-  const auto num_tasks = static_cast<uint32_t>(tasks.size());
-  const uint32_t chunks = util::ParallelChunks(0, num_tasks, threads);
-  const std::span<internal::ChunkSlot> slots =
-      internal::GetJoinScratch().chunk_arenas.Acquire(chunks);
-  util::ParallelFor(
-      0, num_tasks, threads,
-      [&](uint32_t task_begin, uint32_t task_end, uint32_t chunk) {
-        std::vector<MatchedPair>& local = slots[chunk].edges;
-        JoinStats& stats = slots[chunk].stats;
+  const std::vector<MatchedPair>& candidates = internal::CollectCandidates(
+      static_cast<uint32_t>(tasks.size()),
+      std::max<uint32_t>(options.join_threads, 1), options.pool,
+      [&](uint32_t task_begin, uint32_t task_end, internal::ChunkSlot* slot) {
+        std::vector<MatchedPair>& local = slot->edges;
+        JoinStats& stats = slot->stats;
         // Worker-thread scratch: leaves are at most `threshold` rows, so a
         // handful of mask words cover any run.
         std::vector<uint64_t>& mask = internal::GetJoinScratch().mask;
@@ -190,31 +177,18 @@ JoinResult ExSuperEgoJoin(const Community& b, const Community& a,
           const uint32_t run = task.a_hi - task.a_lo;
           if (options.batch_verify && run >= kEpsilonBlock) {
             // Exact leaves want every verdict of the run, so each b row is
-            // one kernel call; the survivor bitmask is walked in ascending
-            // ra order (identical pair order) and the event tallies
-            // collapse to popcounts.
-            const uint32_t words = (run + 63) / 64;
-            mask.resize(words);
+            // one kernel call whose survivor bitmask is walked in
+            // ascending ra order (identical pair order).
+            mask.resize((run + 63) / 64);
             for (uint32_t rb = task.b_lo; rb < task.b_hi; ++rb) {
               EpsilonMatchesManyFloat(data_b.Row(rb), prep.a->window,
                                       task.a_lo, task.a_hi, eps_norm,
                                       mask.data());
-              uint64_t found = 0;
-              for (uint32_t w = 0; w < words; ++w) {
-                uint64_t word = mask[w];
-                found += static_cast<uint64_t>(std::popcount(word));
-                while (word != 0) {
-                  const uint32_t ra =
-                      task.a_lo + w * 64 +
-                      static_cast<uint32_t>(std::countr_zero(word));
-                  local.push_back(
-                      MatchedPair{data_b.ids[rb], data_a.ids[ra]});
-                  word &= word - 1;
-                }
-              }
-              stats.matches += found;
-              stats.no_matches += run - found;
-              stats.dimension_compares += run;
+              internal::WalkRunMask(
+                  mask.data(), run, &stats, [&](uint32_t offset) {
+                    local.push_back(MatchedPair{
+                        data_b.ids[rb], data_a.ids[task.a_lo + offset]});
+                  });
             }
             continue;
           }
@@ -231,24 +205,10 @@ JoinResult ExSuperEgoJoin(const Community& b, const Community& a,
           }
         }
       },
-      options.pool);
+      &result.stats);
 
-  // Chunk-order merge into per-thread scratch (serial-identical, and the
-  // buffer's capacity survives across joins).
-  std::vector<MatchedPair>& candidates = internal::GetJoinScratch().candidates;
-  candidates.clear();
-  for (uint32_t chunk = 0; chunk < chunks; ++chunk) {
-    result.stats.Merge(slots[chunk].stats);
-    candidates.insert(candidates.end(), slots[chunk].edges.begin(),
-                      slots[chunk].edges.end());
-  }
-
-  FoldEgoStats(ego_stats, &result.stats);
-  result.stats.candidate_pairs = candidates.size();
-  result.stats.csf_flushes = 1;  // one matcher call after the recursion
-  util::Timer match_timer;
-  result.pairs = matching::RunMatcher(options.matcher, candidates);
-  result.stats.matching_seconds = match_timer.Seconds();
+  result.stats.min_prunes = ego_stats.strategy_prunes;
+  internal::MatchCandidates(options.matcher, candidates, &result);
   result.stats.seconds = timer.Seconds();
   return result;
 }

@@ -435,6 +435,19 @@ bool SegmentColumns::Bind(std::shared_ptr<const MappedSegment> segment,
                   ": length disagrees with its prefix total");
     }
   }
+
+  // Stored real ids index the community's users on every join (and CSF
+  // by them), unchecked. Read only now that the column lengths are pinned
+  // to the users prefix.
+  for (size_t i = 0; has_encodings_ && i < n_; ++i) {
+    const uint64_t users = users_prefix_[i + 1] - users_prefix_[i];
+    for (uint64_t u = users_prefix_[i]; u < users_prefix_[i + 1]; ++u) {
+      if (b_real_[u] >= users || a_real_[u] >= users) {
+        return fail("entry id " + std::to_string(ids_[i]) +
+                    ": encoded real id outside the entry's users");
+      }
+    }
+  }
   return true;
 }
 

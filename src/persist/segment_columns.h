@@ -54,14 +54,16 @@ class SegmentImage {
 /// index View derives inside its column: the prefix columns live in
 /// payload bytes the open path does not CRC (see MappedSegment), so this
 /// O(n) pass is what keeps a corrupt value from reading outside the
-/// mapping or aborting inside a view constructor.
+/// mapping or aborting inside a view constructor, and its O(users) pass
+/// over the stored real ids keeps a join from indexing past a community.
 class SegmentColumns {
  public:
   /// Binds `segment`'s columns and checks every shape rule: sections
   /// present with their table element sizes and lengths, ids ascending,
   /// versions in [1, next_version), prefixes monotone with per-entry
-  /// steps matching the entry's shape, and a retired sampled-count
-  /// section, if present, equal to the user counts. Returns false with
+  /// steps matching the entry's shape, a retired sampled-count section,
+  /// if present, equal to the user counts, and every stored EncodedB/
+  /// EncodedA real id below its entry's user count. Returns false with
   /// `*error` naming the first violated rule. Payload CRCs and duplicate
   /// versions are csj_fsck's checks.
   bool Bind(std::shared_ptr<const MappedSegment> segment,

@@ -182,13 +182,10 @@ PipelineReport ScreenRefineCouples(std::vector<CoupleTask> tasks,
   PipelineReport report;
   const auto num_tasks = static_cast<uint32_t>(tasks.size());
 
-  // The pipeline-level cache reaches every join through the join options;
-  // an explicitly set join.cache wins. The pool flows the same way so the
-  // intra-join chunks run on the pipeline's (possibly injected) pool.
+  // The pipeline's pool reaches every join through the join options (an
+  // explicitly set join.pool wins), so the intra-join chunks run on the
+  // pipeline's (possibly injected) pool.
   PipelineOptions options = input_options;
-  if (options.cache != nullptr && options.join.cache == nullptr) {
-    options.join.cache = options.cache;
-  }
   if (options.join.pool == nullptr) options.join.pool = options.pool;
   // The nesting budget: with min(pipeline_threads, couples) couples in
   // flight, each join gets its fair share of the pool. Changes only how

@@ -61,14 +61,10 @@ struct PipelineOptions {
   /// Pool override for tests/embedders; null = ThreadPool::Global().
   util::ThreadPool* pool = nullptr;
 
-  /// Optional encoding cache shared by both phases (and, when the caller
-  /// keeps one across runs, by successive pipeline runs): each community's
-  /// encoded buffers are built once per parameter set instead of once per
-  /// couple. Injected into the join options of every couple unless
-  /// `join.cache` is already set. Not owned; must outlive the run.
-  EncodingCache* cache = nullptr;
-
-  /// Join parameters shared by both phases.
+  /// Join parameters shared by both phases. Its `cache` (optional) is
+  /// shared by both phases and, when the caller keeps one across runs, by
+  /// successive pipeline runs: each community's encoded buffers are built
+  /// once per parameter set instead of once per couple.
   JoinOptions join;
 };
 

@@ -60,6 +60,21 @@ void ExpectResultsIdentical(const JoinResult& serial,
   EXPECT_EQ(parallel.stats.csf_flushes, serial.stats.csf_flushes);
 }
 
+/// Clustered data: users sit in tight groups spaced far beyond eps, so
+/// Ex-MinMax's encoded scan closes one CSF segment per populated cluster
+/// run — the multi-segment shape the segment replay and the farm face.
+Community ClusteredCommunity(uint32_t n, uint64_t seed) {
+  util::Rng rng(seed);
+  Community c(6);
+  std::vector<Count> vec(6);
+  for (uint32_t i = 0; i < n; ++i) {
+    const Count center = static_cast<Count>(rng.Below(24)) * 100;
+    for (auto& v : vec) v = center + static_cast<Count>(rng.Below(4));
+    c.AddUser(vec);
+  }
+  return c;
+}
+
 /// Every method x join_threads in {1, 2, 5, 8} on a caller-owned pool —
 /// real worker threads regardless of what ThreadPool::Global() was sized
 /// to, which is what makes this the TSAN target for the chunked scans.
@@ -124,22 +139,8 @@ TEST(JoinThreadsTest, ByteIdenticalForEveryMethodWithMatchingThreads) {
 /// replays the segment-close rule, then the farm matches those segments —
 /// so the cross product must still telescope to the serial result.
 TEST(JoinThreadsTest, ScanAndMatchingThreadsComposeDeterministically) {
-  // Clustered data: users sit in tight groups spaced far beyond eps, so
-  // the encoded scan closes one CSF segment per populated cluster run —
-  // the multi-segment shape the farm exists for.
-  auto clustered = [](uint32_t n, uint64_t seed) {
-    util::Rng rng(seed);
-    Community c(6);
-    std::vector<Count> vec(6);
-    for (uint32_t i = 0; i < n; ++i) {
-      const Count center = static_cast<Count>(rng.Below(24)) * 100;
-      for (auto& v : vec) v = center + static_cast<Count>(rng.Below(4));
-      c.AddUser(vec);
-    }
-    return c;
-  };
-  const Community b = clustered(260, testing::TestSeed(15));
-  const Community a = clustered(320, testing::TestSeed(16));
+  const Community b = ClusteredCommunity(260, testing::TestSeed(15));
+  const Community a = ClusteredCommunity(320, testing::TestSeed(16));
   util::ThreadPool pool(4);
   JoinOptions options;
   options.eps = 2;
@@ -155,6 +156,54 @@ TEST(JoinThreadsTest, ScanAndMatchingThreadsComposeDeterministically) {
                              RunMethod(Method::kExMinMax, b, a, options),
                              Method::kExMinMax,
                              join_threads * 100 + matching_threads);
+    }
+  }
+}
+
+/// Untraced Ex-MinMax runs the chunked scan at every join_threads (1 is
+/// one chunk), so comparing join_threads values above holds that path to
+/// itself. The traced scalar loop (an EventLog attached) is the
+/// independent reference: the chunked scan plus the segment replay must
+/// reproduce its pairs and every counter, cached or not, with inline or
+/// farmed matching, on many-segment, random and one-user couples.
+TEST(JoinThreadsTest, ExMinMaxChunkedScanMatchesTracedLoop) {
+  const std::pair<Community, Community> couples[] = {
+      {ClusteredCommunity(260, testing::TestSeed(17)),
+       ClusteredCommunity(320, testing::TestSeed(18))},
+      {RandomCommunity(8, 280, 10, testing::TestSeed(19)),
+       RandomCommunity(8, 330, 10, testing::TestSeed(20))},
+      {RandomCommunity(8, 1, 10, testing::TestSeed(23)),
+       RandomCommunity(8, 1, 10, testing::TestSeed(23))},
+  };
+  util::ThreadPool pool(4);
+  for (const auto& [b, a] : couples) {
+    for (const matching::MatcherKind matcher :
+         {matching::MatcherKind::kCsf, matching::MatcherKind::kMaxMatching}) {
+      SCOPED_TRACE(matching::MatcherName(matcher));
+      JoinOptions options;
+      options.eps = 2;
+      options.matcher = matcher;
+      EventLog log;
+      options.event_log = &log;
+      const JoinResult traced = RunMethod(Method::kExMinMax, b, a, options);
+      EXPECT_FALSE(log.records.empty());
+      EXPECT_FALSE(traced.pairs.empty());
+      options.event_log = nullptr;
+      options.pool = &pool;
+      for (const bool cached : {false, true}) {
+        SCOPED_TRACE(cached ? "cached" : "uncached");
+        EncodingCache cache;
+        options.cache = cached ? &cache : nullptr;
+        for (const uint32_t join_threads : {1u, 2u, 5u, 8u}) {
+          for (const uint32_t matching_threads : {1u, 4u}) {
+            options.join_threads = join_threads;
+            options.matching_threads = matching_threads;
+            ExpectResultsIdentical(
+                traced, RunMethod(Method::kExMinMax, b, a, options),
+                Method::kExMinMax, join_threads * 100 + matching_threads);
+          }
+        }
+      }
     }
   }
 }
@@ -249,7 +298,7 @@ TEST(JoinThreadsTest, NestedUnderPipelineThreadsIsDeterministic) {
   options.pipeline_threads = 1;
   options.join.join_threads = 1;
   EncodingCache serial_cache;
-  options.cache = &serial_cache;
+  options.join.cache = &serial_cache;
   const PipelineReport serial = ScreenAndRefineAllPairs(pointers, options);
   EXPECT_GT(serial.entries.size(), 0u);
 
@@ -258,7 +307,7 @@ TEST(JoinThreadsTest, NestedUnderPipelineThreadsIsDeterministic) {
   for (const uint32_t pipeline_threads : {2u, 4u}) {
     for (const uint32_t join_threads : {2u, 8u}) {
       EncodingCache cache;
-      options.cache = &cache;
+      options.join.cache = &cache;
       options.pipeline_threads = pipeline_threads;
       options.join.join_threads = join_threads;
       ExpectReportsIdentical(serial,
@@ -273,7 +322,7 @@ TEST(JoinThreadsTest, NestedUnderPipelineThreadsIsDeterministic) {
   // report must not move a bit.
   for (const uint32_t matching_threads : {2u, 8u}) {
     EncodingCache cache;
-    options.cache = &cache;
+    options.join.cache = &cache;
     options.pipeline_threads = 4;
     options.join.join_threads = 2;
     options.join.matching_threads = matching_threads;

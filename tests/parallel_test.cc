@@ -275,6 +275,15 @@ TEST(ParallelJoinTest, EmptyCommunitiesWithThreads) {
   EXPECT_TRUE(RunMethod(Method::kExSuperEgo, one, empty, options).pairs.empty());
   EXPECT_TRUE(
       RunMethod(Method::kExMinMaxEgo, empty, empty, options).pairs.empty());
+  EXPECT_TRUE(RunMethod(Method::kExMinMax, empty, one, options).pairs.empty());
+  EXPECT_TRUE(RunMethod(Method::kExMinMax, one, empty, options).pairs.empty());
+  EXPECT_TRUE(
+      RunMethod(Method::kExMinMax, empty, empty, options).pairs.empty());
+  // A one-user couple at join_threads 1: one chunk of one probe.
+  options.join_threads = 1;
+  const JoinResult single = RunMethod(Method::kExMinMax, one, one, options);
+  EXPECT_EQ(single.pairs, (std::vector<MatchedPair>{{0, 0}}));
+  EXPECT_EQ(single.stats.csf_flushes, 1u);
 }
 
 }  // namespace

@@ -154,13 +154,14 @@ std::string SealTenEntries(service::CommunityCatalog* catalog) {
   return dir;
 }
 
-/// Reseals `dir`'s seg-1 with every section it has plus one of `kind`
-/// whose payload `make_payload` derives from the mapped segment — the
-/// shape of a segment sealed before the writer retired that kind.
-void ResealWithSection(
-    const std::string& dir, uint32_t kind,
-    const std::function<std::vector<uint32_t>(const MappedSegment&)>&
-        make_payload) {
+/// Reseals `dir`'s seg-1 from its own sections after `edit` has changed
+/// the list — appended a section, or repointed one at a rewritten copy
+/// kept in `payload` — with fresh checksums, so only the shape rules can
+/// catch the change.
+void Reseal(const std::string& dir,
+            const std::function<void(const MappedSegment&,
+                                     std::vector<SectionSpec>*,
+                                     std::vector<uint32_t>*)>& edit) {
   const std::string seg = dir + "/seg-1.csj";
   std::string error;
   {
@@ -171,13 +172,28 @@ void ResealWithSection(
       sections.push_back({static_cast<SectionKind>(desc.kind), desc.elem_size,
                           mapped->data() + desc.offset, desc.byte_size});
     }
-    const std::vector<uint32_t> payload = make_payload(*mapped);
-    sections.push_back({static_cast<SectionKind>(kind), 4, payload.data(),
-                        payload.size() * sizeof(uint32_t)});
+    std::vector<uint32_t> payload;
+    edit(*mapped, &sections, &payload);
     ASSERT_TRUE(WriteSegment(seg + ".old", mapped->header(), sections, &error))
         << error;
   }
   ASSERT_EQ(std::rename((seg + ".old").c_str(), seg.c_str()), 0);
+}
+
+/// Reseals `dir`'s seg-1 with every section it has plus one of `kind`
+/// whose payload `make_payload` derives from the mapped segment — the
+/// shape of a segment sealed before the writer retired that kind.
+void ResealWithSection(
+    const std::string& dir, uint32_t kind,
+    const std::function<std::vector<uint32_t>(const MappedSegment&)>&
+        make_payload) {
+  Reseal(dir, [&](const MappedSegment& mapped,
+                  std::vector<SectionSpec>* sections,
+                  std::vector<uint32_t>* payload) {
+    *payload = make_payload(mapped);
+    sections->push_back({static_cast<SectionKind>(kind), 4, payload->data(),
+                         payload->size() * sizeof(uint32_t)});
+  });
 }
 
 /// Each entry's user count, in segment order.
@@ -196,6 +212,21 @@ FsckReport FsckOf(const std::string& dir) {
   FsckReport report;
   EXPECT_TRUE(FsckStore(fsck, &report));
   return report;
+}
+
+/// Restoring `dir` into a fresh catalog fails with the graceful "run
+/// csj_fsck" error, and csj_fsck reports the damage as fatal.
+void ExpectRestoreRefused(const std::string& dir) {
+  StoreOptions options;
+  options.dir = dir;
+  std::string error;
+  auto store = Store::Open(options, &error);
+  ASSERT_NE(store, nullptr) << error;
+  EncodingCache cache;
+  service::CommunityCatalog restored(CatalogOpts(&cache));
+  EXPECT_FALSE(store->RestoreInto(&restored, &error));
+  EXPECT_NE(error.find("csj_fsck"), std::string::npos) << error;
+  EXPECT_FALSE(FsckOf(dir).clean());
 }
 
 TEST(PersistStoreTest, SegmentWithRetiredWindowSectionStillRestores) {
@@ -248,16 +279,32 @@ TEST(PersistStoreTest, RetiredSampledCountBelowUsersFailsGracefully) {
       return sampled;
     });
 
-    StoreOptions options;
-    options.dir = dir;
-    std::string error;
-    auto store = Store::Open(options, &error);
-    ASSERT_NE(store, nullptr) << error;
-    EncodingCache restored_cache;
-    service::CommunityCatalog restored(CatalogOpts(&restored_cache));
-    EXPECT_FALSE(store->RestoreInto(&restored, &error));
-    EXPECT_NE(error.find("csj_fsck"), std::string::npos) << error;
-    EXPECT_FALSE(FsckOf(dir).clean());
+    ExpectRestoreRefused(dir);
+  }
+}
+
+TEST(PersistStoreTest, EncodedRealIdOutsideUsersFailsGracefully) {
+  // Every join indexes the community's users (and CSF its nodes) by the
+  // stored real ids. One at the entry's user count must be refused at
+  // restore, not dereferenced by the next query.
+  for (const SectionKind kind :
+       {SectionKind::kEncBReal, SectionKind::kEncAReal}) {
+    SCOPED_TRACE(kind == SectionKind::kEncBReal ? "b_real" : "a_real");
+    EncodingCache cache;
+    service::CommunityCatalog catalog(CatalogOpts(&cache));
+    const std::string dir = SealTenEntries(&catalog);
+    Reseal(dir, [kind](const MappedSegment& mapped,
+                       std::vector<SectionSpec>* sections,
+                       std::vector<uint32_t>* payload) {
+      const auto real = mapped.Column<UserId>(kind);
+      payload->assign(real.begin(), real.end());
+      const auto prefix = mapped.Column<uint64_t>(SectionKind::kUsersPrefix);
+      (*payload)[prefix[3] + 1] = UserCounts(mapped)[3];
+      for (SectionSpec& spec : *sections) {
+        if (spec.kind == kind) spec.data = payload->data();
+      }
+    });
+    ExpectRestoreRefused(dir);
   }
 }
 

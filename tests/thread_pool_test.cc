@@ -4,6 +4,7 @@
 // ParallelFor reimplementation riding on it.
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -41,10 +42,27 @@ TEST(ThreadPoolTest, ZeroTasksIsANoOp) {
 /// instead of spawning fresh threads per call.
 TEST(ThreadPoolTest, WorkersPersistAcrossCalls) {
   ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
   std::mutex mutex;
   std::set<std::thread::id> ids;
   for (int round = 0; round < 20; ++round) {
+    // A task off the caller thread waits until a caller-thread task of
+    // this round has run. The 3 workers then hold at most 3 of the 64
+    // tasks, so a pool whose caller participates must claim one; the
+    // bounded wait turns a pool where it does not into a failed
+    // expectation below instead of a hang.
+    std::atomic<bool> caller_ran{false};
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
     pool.Run(64, [&](uint32_t) {
+      if (std::this_thread::get_id() == caller) {
+        caller_ran.store(true, std::memory_order_release);
+      } else {
+        while (!caller_ran.load(std::memory_order_acquire) &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+      }
       const std::lock_guard<std::mutex> lock(mutex);
       ids.insert(std::this_thread::get_id());
     });
