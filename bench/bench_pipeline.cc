@@ -32,13 +32,6 @@
 // setting vs the serial run, asserting byte-identical results (pairs,
 // similarity bits, event counters) and emitting "join_scaling_ok".
 //
-// Part 4 — deferred segment matching on the same couple: Ex-MinMax at
-// every --matching_threads setting vs the serial inline-flush run (again
-// byte-identical by contract, gated by "matching_scaling_ok"). Every
-// timed point also reports the wall-seconds spent INSIDE the one-to-one
-// matcher (JoinStats::matching_seconds), so the JSON separates "the
-// matcher got faster" from "the scan got faster".
-//
 // --json writes the whole run as machine-readable JSON, stamped with
 // --git_sha/--build_type.
 
@@ -148,9 +141,6 @@ int main(int argc, char** argv) {
   flags.Define("join_threads", "1,2,4,8",
                "comma list of join_threads settings for the single-couple "
                "sweep (empty disables part 3)");
-  flags.Define("matching_threads", "1,2,4,8",
-               "comma list of matching_threads settings for the deferred "
-               "segment-matching sweep on the same couple");
   flags.Define("json", "", "write the results as JSON to this path");
   flags.Define("git_sha", "", "source revision stamped into the JSON");
   flags.Define("build_type", "", "CMake build type stamped into the JSON");
@@ -469,85 +459,6 @@ int main(int argc, char** argv) {
                 join_scaling_ok ? "OK" : "REGRESSED (investigate!)");
   }
 
-  // ---- Part 4: deferred segment matching on the same couple ------------
-  struct MatchSweepPoint {
-    uint32_t matching_threads = 0;
-    double seconds = 0.0;           ///< best of the reps
-    double matching_seconds = 0.0;  ///< matcher wall of the best rep
-    double speedup = 1.0;           ///< vs the inline-flush serial arm
-    bool identical = true;
-  };
-  const std::vector<uint32_t> matching_thread_settings =
-      ParseThreadList(flags.GetString("matching_threads"));
-  std::vector<MatchSweepPoint> matching_sweep;
-  double matching_serial_seconds = 0.0;
-  double serial_matching_seconds = 0.0;  ///< matcher share of the serial arm
-  bool matching_scaling_ok = true;
-
-  {
-    const csj::Community& big_b = catalog.front();
-    const csj::Community& big_a = pivot;
-    csj::JoinOptions join_options = join;
-    std::printf(
-        "\nSingle-couple Ex-MinMax deferred matching, matching_threads:\n");
-
-    // Best of THREE here (the other sweeps use two): the matcher is a
-    // small share of this couple's join, so the gate is comparing two
-    // ~10ms totals whose scheduler jitter on a loaded box exceeds the
-    // farm's real cost; one extra rep cuts the false-alarm rate hard.
-    join_options.matching_threads = 1;
-    csj::JoinResult serial;
-    for (int rep = 0; rep < 3; ++rep) {
-      csj::util::Timer timer;
-      serial = RunMethod(csj::Method::kExMinMax, big_b, big_a, join_options);
-      const double seconds = timer.Seconds();
-      if (rep == 0 || seconds < matching_serial_seconds) {
-        matching_serial_seconds = seconds;
-        serial_matching_seconds = serial.stats.matching_seconds;
-      }
-    }
-    std::printf(
-        "  matching_threads  1: %8s  (matcher %s, %s segments, reference)\n",
-        csj::util::SecondsCell(matching_serial_seconds).c_str(),
-        csj::util::SecondsCell(serial_matching_seconds).c_str(),
-        csj::util::WithCommas(serial.stats.csf_flushes).c_str());
-
-    double seconds_at_4 = 0.0;
-    for (const uint32_t matching_threads : matching_thread_settings) {
-      if (matching_threads <= 1) continue;
-      join_options.matching_threads = matching_threads;
-      MatchSweepPoint point;
-      point.matching_threads = matching_threads;
-      for (int rep = 0; rep < 3; ++rep) {
-        csj::util::Timer timer;
-        const csj::JoinResult result =
-            RunMethod(csj::Method::kExMinMax, big_b, big_a, join_options);
-        const double seconds = timer.Seconds();
-        if (rep == 0 || seconds < point.seconds) {
-          point.seconds = seconds;
-          point.matching_seconds = result.stats.matching_seconds;
-        }
-        point.identical = (rep == 0 || point.identical) &&
-                          JoinResultsIdentical(serial, result);
-      }
-      point.speedup = matching_serial_seconds / point.seconds;
-      if (point.matching_threads == 4) seconds_at_4 = point.seconds;
-      all_identical = all_identical && point.identical;
-      std::printf(
-          "  matching_threads %2u: %8s  (matcher %s)  speedup %.2fx  result "
-          "%s\n",
-          point.matching_threads,
-          csj::util::SecondsCell(point.seconds).c_str(),
-          csj::util::SecondsCell(point.matching_seconds).c_str(),
-          point.speedup,
-          point.identical ? "identical" : "DIVERGED (investigate!)");
-      matching_sweep.push_back(point);
-    }
-    matching_scaling_ok = ScalingOk(matching_serial_seconds, seconds_at_4);
-    std::printf("  scaling matching_threads 1 -> 4: %s\n",
-                matching_scaling_ok ? "OK" : "REGRESSED (investigate!)");
-  }
-
   const std::string json_path = flags.GetString("json");
   if (!json_path.empty()) {
     csj::util::JsonWriter json;
@@ -657,34 +568,6 @@ int main(int argc, char** argv) {
     json.EndArray();
     json.Key("join_scaling_ok");
     json.Bool(join_scaling_ok);
-    json.EndObject();
-    json.Key("deferred_matching");
-    json.BeginObject();
-    json.Key("method");
-    json.String("Ex-MinMax");
-    json.Key("serial_seconds");
-    json.Double(matching_serial_seconds);
-    json.Key("serial_matching_seconds");
-    json.Double(serial_matching_seconds);
-    json.Key("sweep");
-    json.BeginArray();
-    for (const MatchSweepPoint& point : matching_sweep) {
-      json.BeginObject();
-      json.Key("matching_threads");
-      json.Uint(point.matching_threads);
-      json.Key("seconds");
-      json.Double(point.seconds);
-      json.Key("matching_seconds");
-      json.Double(point.matching_seconds);
-      json.Key("speedup_vs_serial");
-      json.Double(point.speedup);
-      json.Key("report_identical");
-      json.Bool(point.identical);
-      json.EndObject();
-    }
-    json.EndArray();
-    json.Key("matching_scaling_ok");
-    json.Bool(matching_scaling_ok);
     json.EndObject();
     json.EndObject();
     const std::string text = json.Take();

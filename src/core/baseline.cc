@@ -1,6 +1,5 @@
 #include "core/baseline.h"
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -100,9 +99,8 @@ JoinResult ExBaselineJoin(const Community& b, const Community& a,
   // Candidate collection chunks B's rows. Event logging pins the run to
   // one chunk and (because events must flow one pair at a time) disables
   // batching.
-  const uint32_t threads = options.event_log != nullptr
-                               ? 1
-                               : std::max<uint32_t>(options.join_threads, 1);
+  const uint32_t threads =
+      options.event_log != nullptr ? 1 : options.join_threads;
   const bool batched = options.batch_verify &&
                        options.event_log == nullptr && na >= kEpsilonBlock;
   std::shared_ptr<const VerifyWindow> keepalive;
@@ -111,7 +109,7 @@ JoinResult ExBaselineJoin(const Community& b, const Community& a,
               : nullptr;
 
   const std::vector<MatchedPair>& candidates = internal::CollectCandidates(
-      nb, threads, options.pool,
+      nb, threads, internal::ScanUnit::kProbeRow, options.pool,
       [&](uint32_t chunk_begin, uint32_t chunk_end, internal::ChunkSlot* slot) {
         std::vector<MatchedPair>& local = slot->edges;
         if (batched) {

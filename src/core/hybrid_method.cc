@@ -212,8 +212,8 @@ JoinResult ExMinMaxEgoJoin(const Community& b, const Community& a,
   const std::vector<internal::LeafTask> tasks =
       internal::CollectLeafTasks(prep.tree_b, prep.tree_a, &ego_stats);
   const std::vector<MatchedPair>& candidates = internal::CollectCandidates(
-      static_cast<uint32_t>(tasks.size()),
-      std::max<uint32_t>(options.join_threads, 1), options.pool,
+      static_cast<uint32_t>(tasks.size()), options.join_threads,
+      internal::ScanUnit::kEgoLeaf, options.pool,
       [&](uint32_t task_begin, uint32_t task_end, internal::ChunkSlot* slot) {
         JoinStats& stats = slot->stats;
         // The encoded filter punches holes in the run, so the lazy

@@ -15,7 +15,8 @@ namespace util {
 class ThreadPool;
 }  // namespace util
 
-/// Knobs shared by all six CSJ methods. Defaults reproduce the paper's
+/// Knobs shared by all ten CSJ methods (the paper's six plus the
+/// MinMaxEGO and GridHash extensions). Defaults reproduce the paper's
 /// configuration (4 encoding parts, CSF matcher, serial SuperEGO).
 struct JoinOptions {
   /// The per-dimension absolute-difference threshold (paper: 1 for VK,
@@ -53,41 +54,30 @@ struct JoinOptions {
   /// integer-grid SuperEGO, the other arm of bench_ablation_hybrid.
   bool hybrid_encoded_leaf = true;
 
-  /// Worker threads INSIDE one join: the candidate-collection (scan +
-  /// verify) phase of the exact methods partitions its probe work into
+  /// Most threads INSIDE one join. The candidate-collection (scan +
+  /// verify) phase of the exact methods cuts its probe work into
   /// contiguous chunks — Ex-MinMax and Ex-Baseline over B's rows,
-  /// Ex-SuperEGO and Ex-MinMaxEGO over their surviving EGO leaves — and
-  /// runs the chunks on the persistent thread pool, each chunk writing
-  /// candidate edges into a per-chunk arena. A deterministic merge
-  /// concatenates arenas in chunk order (and, for Ex-MinMax, replays the
-  /// segment-close rule over the merged edge stream), so the candidate
-  /// graph handed to CSF/greedy matching — and hence pairs, similarity
-  /// and the summed event counters — is byte-identical to the serial run
-  /// for ANY value here. The paper's evaluation pinned 1 thread for
-  /// fairness, and so does our default. The approximate methods are
-  /// order-dependent greedy scans and always run serially; event logging
-  /// also forces serial execution (traces need per-candidate order).
+  /// Ex-SuperEGO and Ex-MinMaxEGO over their surviving EGO leaves — whose
+  /// count follows the work, not this value: a join too small to pay for
+  /// a pool hand-off runs as one inline chunk, a larger one cuts more
+  /// chunks than threads so dynamic claiming evens out skew (see
+  /// internal::ScanChunkCount). Up to this many pool threads then claim
+  /// the chunks, each writing candidate edges into a per-chunk arena. A
+  /// deterministic merge concatenates arenas in chunk order (and, for
+  /// Ex-MinMax, replays the segment-close rule over the merged edge
+  /// stream), so the candidate graph handed to CSF/greedy matching — and
+  /// hence pairs, similarity and the summed event counters — is
+  /// byte-identical to the serial run for ANY value here. The paper's
+  /// evaluation pinned 1 thread for fairness, and so does our default. The
+  /// approximate methods are order-dependent greedy scans and always run
+  /// serially; event logging also forces serial execution (traces need
+  /// per-candidate order).
   uint32_t join_threads = 1;
 
-  /// Worker threads for the refine-phase one-to-one matching. Ex-MinMax
-  /// flushes many independent CSF segments per join; with a value > 1 the
-  /// join defers each flushed segment into a SegmentMatchFarm and runs
-  /// them as individual tasks on the persistent pool instead of matching
-  /// inline. Matched pairs are appended in SEGMENT ORDER and each matcher
-  /// is deterministic on its own segment, so pairs, `candidate_pairs`,
-  /// `csf_flushes` and every other counter are byte-identical to the
-  /// serial run for ANY value here. The single-segment exact methods
-  /// (Ex-Baseline, Ex-SuperEGO, Ex-MinMaxEGO, Ex-GridHash) run one
-  /// matcher call and are unaffected; so are the approximate methods
-  /// (no matcher at all). Composes with `join_threads`: the scan chunks
-  /// and the segment tasks share the same pool, and the pipeline budgets
-  /// both through NestedJoinThreads.
-  uint32_t matching_threads = 1;
-
-  /// Pool the intra-join chunks and deferred segment matchings run on;
-  /// null = ThreadPool::Global(). Injection seam for tests and embedders
-  /// (a join called from inside a pool task degrades to an inline loop
-  /// either way, so nesting under pipeline_threads never oversubscribes).
+  /// Pool the intra-join chunks run on; null = ThreadPool::Global().
+  /// Injection seam for tests and embedders (a join called from inside a
+  /// pool task degrades to an inline loop either way, so nesting under
+  /// pipeline_threads never oversubscribes).
   util::ThreadPool* pool = nullptr;
 
   /// Optional community-level encoded-buffer cache. When set, the methods

@@ -1,6 +1,7 @@
 #ifndef CSJ_CORE_JOIN_SCRATCH_H_
 #define CSJ_CORE_JOIN_SCRATCH_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -10,7 +11,7 @@
 #include "core/epsilon_predicate.h"
 #include "core/join_result.h"
 #include "matching/matcher.h"
-#include "util/parallel.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace csj {
@@ -45,11 +46,17 @@ class ChunkArenas {
       slots_[c].edges.clear();
       slots_[c].stats = JoinStats{};
     }
+    last_chunks_ = chunks;
     return {slots_.data(), chunks};
   }
 
+  /// Chunk count of the latest Acquire: how finely this thread's last
+  /// scan was cut (the tests read it to see the multi-chunk path run).
+  uint32_t last_chunks() const { return last_chunks_; }
+
  private:
   std::vector<ChunkSlot> slots_;
+  uint32_t last_chunks_ = 0;
 };
 
 /// Reusable per-thread temporaries for the join hot paths.
@@ -102,12 +109,6 @@ struct JoinScratch {
   /// (the chunks themselves may execute on pool workers; only the slots
   /// live here, and each worker touches exactly one).
   ChunkArenas chunk_arenas;
-
-  /// Deferred per-segment matching farm of Ex-MinMax's refine phase
-  /// (JoinOptions::matching_threads > 1). Per-segment edge arenas live in
-  /// the slots and are reused across joins; the matching tasks may run on
-  /// pool workers, but each task touches exactly one slot.
-  matching::SegmentMatchFarm match_farm;
 };
 
 /// The calling thread's scratch. Never hold the reference across a point
@@ -118,23 +119,64 @@ inline JoinScratch& GetJoinScratch() {
   return scratch;
 }
 
-/// The exact joins' candidate scan: runs `body(begin, end, slot)` over a
-/// static partition of [0, n) into at most `threads` chunks, each filling
-/// its own slot of the calling thread's ChunkArenas. One chunk (every
-/// `threads == 1` run) executes inline with no pool interaction. The
-/// partition depends only on n and `threads`, so a merge that walks the
-/// returned slots in chunk order sees the serial scan's output.
+/// What one index of a ScanChunks range stands for. The unit sets how
+/// much work a chunk must carry to be worth a pool hand-off.
+enum class ScanUnit : uint8_t {
+  kProbeRow,  ///< one B row probing A (Ex-MinMax, Ex-Baseline)
+  kEgoLeaf,   ///< one surviving EGO leaf pair (Ex-SuperEGO, Ex-MinMaxEGO)
+};
+
+/// Fewest units one chunk of a multi-chunk scan holds. A scan with less
+/// than twice this much work runs as one inline chunk: a pool hand-off
+/// costs more than the rows it would move. A leaf pair is up to
+/// superego_threshold^2 compares, so it weighs far more than a probe row.
+constexpr uint32_t MinUnitsPerChunk(ScanUnit unit) {
+  return unit == ScanUnit::kProbeRow ? 64 : 4;
+}
+
+/// Most chunks a scan cuts per thread it may use. More chunks than threads
+/// let the pool's dynamic claiming even out skewed probe costs.
+inline constexpr uint32_t kChunksPerThread = 8;
+
+/// Chunks a scan of `n` units at up to `threads` threads uses: 0 for an
+/// empty range, 1 when `threads <= 1` or the work is below the floor,
+/// else n / MinUnitsPerChunk(unit) capped at threads * kChunksPerThread.
+/// A function of its arguments only, never of the executing pool.
+inline uint32_t ScanChunkCount(uint32_t n, uint32_t threads, ScanUnit unit) {
+  if (n == 0) return 0;
+  if (threads <= 1) return 1;
+  const uint64_t cap = uint64_t{threads} * kChunksPerThread;
+  return static_cast<uint32_t>(
+      std::clamp<uint64_t>(n / MinUnitsPerChunk(unit), 1, cap));
+}
+
+/// The exact joins' candidate scan: runs `body(begin, end, slot)` over
+/// ScanChunkCount(n, threads, unit) contiguous, near-equal chunks of
+/// [0, n), each filling its own slot of the calling thread's ChunkArenas.
+/// One chunk runs inline on the caller with no pool interaction. More
+/// chunks are claimed dynamically by at most `threads` threads of `pool`
+/// (null = ThreadPool::Global()); from inside a pool task they run inline.
+/// The partition depends only on (n, threads, unit), so a merge that walks
+/// the returned slots in chunk order sees the serial scan's output.
 template <typename Body>
-std::span<ChunkSlot> ScanChunks(uint32_t n, uint32_t threads,
+std::span<ChunkSlot> ScanChunks(uint32_t n, uint32_t threads, ScanUnit unit,
                                 util::ThreadPool* pool, const Body& body) {
-  const std::span<ChunkSlot> slots = GetJoinScratch().chunk_arenas.Acquire(
-      util::ParallelChunks(0, n, threads));
-  util::ParallelFor(
-      0, n, threads,
-      [&](uint32_t begin, uint32_t end, uint32_t chunk) {
-        body(begin, end, &slots[chunk]);
-      },
-      pool);
+  const uint32_t chunks = ScanChunkCount(n, threads, unit);
+  const std::span<ChunkSlot> slots =
+      GetJoinScratch().chunk_arenas.Acquire(chunks);
+  if (chunks == 1) {
+    body(0, n, &slots[0]);
+  } else if (chunks > 1) {
+    const auto bound = [&](uint32_t c) {
+      return static_cast<uint32_t>(uint64_t{n} * c / chunks);
+    };
+    util::ThreadPool& executor =
+        pool != nullptr ? *pool : util::ThreadPool::Global();
+    executor.Run(
+        chunks,
+        [&](uint32_t c) { body(bound(c), bound(c + 1), &slots[c]); },
+        threads);
+  }
   return slots;
 }
 
@@ -143,12 +185,13 @@ std::span<ChunkSlot> ScanChunks(uint32_t n, uint32_t threads,
 /// buffer, which is returned (valid until this thread's next join).
 template <typename Body>
 const std::vector<MatchedPair>& CollectCandidates(uint32_t n, uint32_t threads,
+                                                  ScanUnit unit,
                                                   util::ThreadPool* pool,
                                                   const Body& body,
                                                   JoinStats* stats) {
   std::vector<MatchedPair>& candidates = GetJoinScratch().candidates;
   candidates.clear();
-  for (const ChunkSlot& slot : ScanChunks(n, threads, pool, body)) {
+  for (const ChunkSlot& slot : ScanChunks(n, threads, unit, pool, body)) {
     stats->Merge(slot.stats);
     candidates.insert(candidates.end(), slot.edges.begin(), slot.edges.end());
   }

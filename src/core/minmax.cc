@@ -18,7 +18,6 @@
 #include "core/join_scratch.h"
 #include "matching/matcher.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace csj {
@@ -376,41 +375,22 @@ JoinResult ExMinMaxJoin(const Community& b, const Community& a,
   segment.clear();
   uint64_t max_v = 0;
 
-  // Deferred per-segment matching: with matching_threads > 1 a flushed
-  // segment is enqueued on the farm instead of matched inline, and the
-  // farm runs all segments as pool tasks before the join returns.
-  // The segment partition is a pure function of the candidate-edge stream
-  // and the farm appends matched pairs in segment order, so pairs and
-  // every counter are byte-identical to the inline path for any value.
-  const uint32_t matching_threads =
-      options.event_log != nullptr
-          ? 1
-          : std::max<uint32_t>(options.matching_threads, 1);
-  matching::SegmentMatchFarm& farm = internal::GetJoinScratch().match_farm;
-  farm.Reset();
-
   auto flush_segment = [&]() {
     max_v = 0;
     if (segment.empty()) return;
-    if (matching_threads > 1) {
-      result.stats.candidate_pairs += segment.size();
-      ++result.stats.csf_flushes;
-      farm.Enqueue(&segment);
-    } else {
-      internal::MatchCandidates(options.matcher, segment, &result);
-      segment.clear();
-    }
+    internal::MatchCandidates(options.matcher, segment, &result);
+    segment.clear();
   };
 
   if (options.event_log == nullptr) {
-    // Untraced runs, any join_threads (1 = one chunk, run inline): chunks
-    // of B's probes fill per-chunk arenas, then the calling thread merges
-    // in chunk order — counters sum, and the segment-close rule is
-    // replayed over the concatenated edge stream so the CSF segments
-    // (hence pairs and flush count) are byte-identical to the traced
-    // scalar loop below.
+    // Untraced runs, any join_threads (1, or a couple below the chunk
+    // floor, is one chunk run inline): chunks of B's probes fill per-chunk
+    // arenas, then the calling thread merges in chunk order — counters
+    // sum, and the segment-close rule is replayed over the concatenated
+    // edge stream so the CSF segments (hence pairs and flush count) are
+    // byte-identical to the traced scalar loop below.
     const std::span<internal::ChunkSlot> slots = internal::ScanChunks(
-        nb, std::max<uint32_t>(options.join_threads, 1), options.pool,
+        nb, options.join_threads, internal::ScanUnit::kProbeRow, options.pool,
         [&](uint32_t lo, uint32_t hi, internal::ChunkSlot* slot) {
           ScanExMinMaxChunk(b, a, encd_b, encd_a, options, lo, hi, slot);
         });
@@ -431,12 +411,6 @@ JoinResult ExMinMaxJoin(const Community& b, const Community& a,
       }
     }
     flush_segment();
-    if (matching_threads > 1) {
-      const util::Timer match_timer;
-      farm.MatchAll(options.matcher, matching_threads, options.pool,
-                    &result.pairs);
-      result.stats.matching_seconds += match_timer.Seconds();
-    }
     result.stats.seconds = timer.Seconds();
     return result;
   }

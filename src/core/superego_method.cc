@@ -164,8 +164,8 @@ JoinResult ExSuperEgoJoin(const Community& b, const Community& a,
   const std::vector<internal::LeafTask> tasks =
       internal::CollectLeafTasks(prep.b->tree, prep.a->tree, &ego_stats);
   const std::vector<MatchedPair>& candidates = internal::CollectCandidates(
-      static_cast<uint32_t>(tasks.size()),
-      std::max<uint32_t>(options.join_threads, 1), options.pool,
+      static_cast<uint32_t>(tasks.size()), options.join_threads,
+      internal::ScanUnit::kEgoLeaf, options.pool,
       [&](uint32_t task_begin, uint32_t task_end, internal::ChunkSlot* slot) {
         std::vector<MatchedPair>& local = slot->edges;
         JoinStats& stats = slot->stats;

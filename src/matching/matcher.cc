@@ -2,7 +2,6 @@
 
 #include "matching/csf.h"
 #include "matching/hopcroft_karp.h"
-#include "util/thread_pool.h"
 
 namespace csj::matching {
 
@@ -21,48 +20,6 @@ std::vector<MatchedPair> RunMatcher(MatcherKind kind,
     case MatcherKind::kMaxMatching: return HopcroftKarp(edges);
   }
   return {};
-}
-
-void SegmentMatchFarm::Enqueue(std::vector<MatchedPair>* edges) {
-  if (used_ == slots_.size()) slots_.emplace_back();
-  Slot& slot = slots_[used_++];
-  // Swap keeps both buffers' capacity: the caller's segment buffer comes
-  // back ready for the next segment, the slot inherits the edges without
-  // a copy.
-  slot.edges.swap(*edges);
-  edges->clear();
-}
-
-void SegmentMatchFarm::MatchAll(MatcherKind kind, uint32_t threads,
-                                util::ThreadPool* pool,
-                                std::vector<MatchedPair>* out) {
-  const uint32_t segments = used_;
-  used_ = 0;
-  if (segments == 0) return;
-  if (threads <= 1 || segments == 1) {
-    for (uint32_t s = 0; s < segments; ++s) {
-      Slot& slot = slots_[s];
-      slot.matched = RunMatcher(kind, slot.edges);
-      out->insert(out->end(), slot.matched.begin(), slot.matched.end());
-      slot.edges.clear();
-    }
-    return;
-  }
-  util::ThreadPool& exec =
-      pool != nullptr ? *pool : util::ThreadPool::Global();
-  // One task per segment: the matchers are pure functions of their own
-  // slot, so the only cross-thread traffic is the pool's task claiming.
-  exec.Run(
-      segments,
-      [this, kind](uint32_t s) {
-        slots_[s].matched = RunMatcher(kind, slots_[s].edges);
-      },
-      threads);
-  for (uint32_t s = 0; s < segments; ++s) {
-    Slot& slot = slots_[s];
-    out->insert(out->end(), slot.matched.begin(), slot.matched.end());
-    slot.edges.clear();
-  }
 }
 
 }  // namespace csj::matching

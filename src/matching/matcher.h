@@ -1,15 +1,9 @@
 #ifndef CSJ_MATCHING_MATCHER_H_
 #define CSJ_MATCHING_MATCHER_H_
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/join_result.h"
-
-namespace csj::util {
-class ThreadPool;
-}  // namespace csj::util
 
 namespace csj::matching {
 
@@ -26,60 +20,6 @@ const char* MatcherName(MatcherKind kind);
 /// Dispatches `edges` (original user ids) to the selected matcher.
 std::vector<MatchedPair> RunMatcher(MatcherKind kind,
                                     const std::vector<MatchedPair>& edges);
-
-/// Deferred per-segment matching task farm.
-///
-/// Ex-MinMax's refine phase flushes many independent CSF segments per
-/// join: once a segment closes, no later probe can touch its vertices, so
-/// its one-to-one matching is an isolated job. With
-/// `JoinOptions::matching_threads > 1` the join enqueues each flushed
-/// segment here instead of matching it inline; MatchAll() then runs the
-/// segments as individual tasks on the persistent ThreadPool (one task
-/// per segment — the pool's dynamic claiming self-balances skewed segment
-/// sizes) and appends the matched pairs in SEGMENT ORDER.
-///
-/// Determinism contract: the segment partition is a pure function of the
-/// candidate-edge stream (the scan computes it before any matching
-/// happens), each matcher is deterministic on its own segment, and the
-/// merge appends slot s before slot s+1 — so pairs, `candidate_pairs`,
-/// and `csf_flushes` are byte-identical to the serial flush-inline run
-/// for ANY thread count.
-///
-/// Slots (and their edge buffers) are reused across joins when the farm
-/// lives in per-thread scratch; a farm is borrowed for the duration of
-/// ONE join. All calls except the pool tasks MatchAll() spawns happen on
-/// the owning thread.
-class SegmentMatchFarm {
- public:
-  /// Drops all enqueued segments (slot capacity retained).
-  void Reset() { used_ = 0; }
-
-  /// Takes one flushed segment's candidate edges by swap; `edges` comes
-  /// back cleared but keeps its capacity for the next segment.
-  void Enqueue(std::vector<MatchedPair>* edges);
-
-  /// Segments enqueued since the last Reset.
-  uint32_t segments() const { return used_; }
-
-  /// Matches every enqueued segment with `kind` — on up to `threads`
-  /// pool threads when `threads > 1` (null `pool` = ThreadPool::Global())
-  /// — and appends the matched pairs to `out` in segment order, then
-  /// resets the farm. Calling this from inside a pool task degrades to an
-  /// inline loop (the pool's re-entrant Run guarantee), so nesting under
-  /// pipeline/join parallelism never deadlocks or oversubscribes.
-  void MatchAll(MatcherKind kind, uint32_t threads, util::ThreadPool* pool,
-                std::vector<MatchedPair>* out);
-
- private:
-  /// One segment's input edges and matcher output.
-  struct Slot {
-    std::vector<MatchedPair> edges;
-    std::vector<MatchedPair> matched;
-  };
-
-  std::vector<Slot> slots_;
-  uint32_t used_ = 0;
-};
 
 }  // namespace csj::matching
 

@@ -335,6 +335,12 @@ bool ReadLog(const std::string& path, uint64_t expect_generation,
         *error = path + ": upsert record shape disagrees with its size";
         return false;
       }
+      // Catalog versions start at 1, and restore pins its horizon at
+      // version + 1: no writer logs 0 or the largest value.
+      if (record.version == 0 || record.version == UINT64_MAX) {
+        *error = path + ": upsert record carries an impossible version";
+        return false;
+      }
       record.name.assign(reinterpret_cast<const char*>(payload) + 32,
                          name_size);
       record.counts_offset = cursor + 32 + name_size;

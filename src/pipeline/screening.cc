@@ -189,20 +189,13 @@ PipelineReport ScreenRefineCouples(std::vector<CoupleTask> tasks,
   if (options.join.pool == nullptr) options.join.pool = options.pool;
   // The nesting budget: with min(pipeline_threads, couples) couples in
   // flight, each join gets its fair share of the pool. Changes only how
-  // finely a join chunks, never its result.
+  // many threads (and so how many chunks) a join uses, never its result.
   const uint32_t pool_threads =
       (options.pool != nullptr ? *options.pool : util::ThreadPool::Global())
           .threads();
   options.join.join_threads =
       NestedJoinThreads(options.join.join_threads, options.pipeline_threads,
                         pool_threads, num_tasks);
-  // The deferred segment matching shares the same pool and the same
-  // budget rule: with many couples in flight each join matches its
-  // segments with its fair share (usually serially), while a
-  // single-couple run inherits the whole pool for its segment farm.
-  options.join.matching_threads =
-      NestedJoinThreads(options.join.matching_threads,
-                        options.pipeline_threads, pool_threads, num_tasks);
 
   std::vector<ScreenSlot> slots(num_tasks);
   RunCoupleTasks(options, MostExpensiveFirstOrder(tasks), [&](uint32_t i) {

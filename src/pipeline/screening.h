@@ -100,8 +100,7 @@ struct PipelineReport {
   double refine_seconds = 0.0;
   /// Thread-seconds the refine phase spent inside the one-to-one matcher
   /// (summed JoinStats::matching_seconds of every refined couple, in
-  /// survivor order). The matcher share of refine_seconds — what the
-  /// matching_threads knob can attack.
+  /// survivor order): the matcher share of refine_seconds.
   double matching_seconds = 0.0;
   /// Wall-clock of each phase as the submitting thread saw it (screen =
   /// enumerate + screen joins; refine = survivor selection + exact joins

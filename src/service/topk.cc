@@ -235,8 +235,6 @@ TopKResult TopKSimilarService::QuerySnapshot(
     JoinOptions wave_join = join;
     wave_join.join_threads = pipeline::NestedJoinThreads(
         join.join_threads, threads, pool.threads(), wave);
-    wave_join.matching_threads = pipeline::NestedJoinThreads(
-        join.matching_threads, threads, pool.threads(), wave);
 
     const auto refine_one = [&](uint32_t w) {
       const CatalogEntry& entry =

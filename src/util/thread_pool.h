@@ -25,7 +25,7 @@ namespace csj::util {
 /// Determinism: the pool controls only WHICH thread runs a task, never
 /// task identity or count, so callers that write task t's output into
 /// slot t and merge slots in index order get byte-identical results for
-/// every pool size — the contract util::ParallelFor builds on.
+/// every pool size — the contract the joins' chunked scans build on.
 ///
 /// Re-entrancy: Run() called from inside a pool task executes inline on
 /// the calling worker (no deadlock, no oversubscription). Concurrent

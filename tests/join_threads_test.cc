@@ -1,8 +1,10 @@
 // Intra-join parallelism: for every method and any join_threads value the
 // JoinResult must be byte-identical to the serial run — pairs, similarity
 // and the summed event counters — on a caller-injected pool, nested under
-// pipeline_threads, and with the encoding cache in play. Also covers the
-// cost-aware scheduling order and the pipeline's nesting budget.
+// pipeline_threads, and with the encoding cache in play. Every case with
+// join_threads >= 2 also checks that its couple really takes the
+// multi-chunk path. Also covers the cost-aware scheduling order and the
+// pipeline's nesting budget.
 
 #include <cstring>
 #include <utility>
@@ -12,6 +14,7 @@
 
 #include "core/community.h"
 #include "core/encoding_cache.h"
+#include "core/join_scratch.h"
 #include "core/method.h"
 #include "pipeline/screening.h"
 #include "test_seed.h"
@@ -62,7 +65,7 @@ void ExpectResultsIdentical(const JoinResult& serial,
 
 /// Clustered data: users sit in tight groups spaced far beyond eps, so
 /// Ex-MinMax's encoded scan closes one CSF segment per populated cluster
-/// run — the multi-segment shape the segment replay and the farm face.
+/// run — the multi-segment shape the segment replay faces.
 Community ClusteredCommunity(uint32_t n, uint64_t seed) {
   util::Rng rng(seed);
   Community c(6);
@@ -73,6 +76,41 @@ Community ClusteredCommunity(uint32_t n, uint64_t seed) {
     c.AddUser(vec);
   }
   return c;
+}
+
+/// The chunked exact methods and the unit their scans count in.
+bool ScansInChunks(Method method, internal::ScanUnit* unit) {
+  switch (method) {
+    case Method::kExMinMax:
+    case Method::kExBaseline:
+      *unit = internal::ScanUnit::kProbeRow;
+      return true;
+    case Method::kExSuperEgo:
+    case Method::kExMinMaxEgo:
+      *unit = internal::ScanUnit::kEgoLeaf;
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Asserts that the join this thread just ran on `b` cut its scan into
+/// more than one chunk when join_threads >= 2. Probe-row scans are
+/// checked through ScanChunkCount over |B|, the function the scan uses;
+/// the EGO scans count surviving leaf pairs, which only the join knows,
+/// so those read the chunk count the join's scan acquired.
+void ExpectMultiChunk(Method method, const Community& b,
+                      uint32_t join_threads) {
+  internal::ScanUnit unit;
+  if (join_threads < 2 || !ScansInChunks(method, &unit)) return;
+  const uint32_t chunks =
+      internal::GetJoinScratch().chunk_arenas.last_chunks();
+  if (unit == internal::ScanUnit::kProbeRow) {
+    EXPECT_EQ(chunks, internal::ScanChunkCount(b.size(), join_threads, unit))
+        << MethodName(method);
+  }
+  EXPECT_GT(chunks, 1u) << MethodName(method)
+                        << " join_threads=" << join_threads;
 }
 
 /// Every method x join_threads in {1, 2, 5, 8} on a caller-owned pool —
@@ -96,48 +134,15 @@ TEST(JoinThreadsTest, ByteIdenticalForEveryMethodOnInjectedPool) {
       options.join_threads = join_threads;
       ExpectResultsIdentical(serial, RunMethod(method, b, a, options), method,
                              join_threads);
+      ExpectMultiChunk(method, b, join_threads);
     }
   }
 }
 
-/// Deferred segment matching: every method x matching_threads in
-/// {1, 2, 5, 8} must be byte-identical to the serial inline-flush run.
-/// Only Ex-MinMax actually farms segments out (the other methods run one
-/// matcher call or none), but the sweep runs ALL TEN methods so the knob
-/// is proven inert where it must be inert. Both matchers are covered:
-/// CSF's per-segment tie-breaks and Hopcroft-Karp's per-segment optimum
-/// must each survive the farm's reordering of WORK (never of output).
-TEST(JoinThreadsTest, ByteIdenticalForEveryMethodWithMatchingThreads) {
-  const Community b = RandomCommunity(8, 280, 10, testing::TestSeed(13));
-  const Community a = RandomCommunity(8, 330, 10, testing::TestSeed(14));
-  util::ThreadPool pool(4);
-  std::vector<Method> methods(std::begin(kAllMethods), std::end(kAllMethods));
-  methods.insert(methods.end(), std::begin(kExtensionMethods),
-                 std::end(kExtensionMethods));
-  for (const Method method : methods) {
-    for (const matching::MatcherKind matcher :
-         {matching::MatcherKind::kCsf, matching::MatcherKind::kMaxMatching}) {
-      JoinOptions options;
-      options.eps = 2;
-      options.superego_threshold = 16;
-      options.matcher = matcher;
-      options.matching_threads = 1;
-      const JoinResult serial = RunMethod(method, b, a, options);
-      options.pool = &pool;
-      for (const uint32_t matching_threads : {1u, 2u, 5u, 8u}) {
-        options.matching_threads = matching_threads;
-        ExpectResultsIdentical(serial, RunMethod(method, b, a, options),
-                               method, matching_threads);
-      }
-    }
-  }
-}
-
-/// Both intra-join axes at once: chunked candidate collection
-/// (join_threads) feeding the deferred segment farm (matching_threads) on
-/// one shared pool. The axes compose — the scan's deterministic merge
-/// replays the segment-close rule, then the farm matches those segments —
-/// so the cross product must still telescope to the serial result.
+/// The chunked scan feeding the segment replay on a many-segment couple:
+/// the scan's deterministic merge replays the segment-close rule across
+/// chunk borders, so every join_threads must telescope to the serial
+/// result, segment for segment.
 TEST(JoinThreadsTest, ScanAndMatchingThreadsComposeDeterministically) {
   const Community b = ClusteredCommunity(260, testing::TestSeed(15));
   const Community a = ClusteredCommunity(320, testing::TestSeed(16));
@@ -146,17 +151,13 @@ TEST(JoinThreadsTest, ScanAndMatchingThreadsComposeDeterministically) {
   options.eps = 2;
   const JoinResult serial = RunMethod(Method::kExMinMax, b, a, options);
   EXPECT_GT(serial.stats.csf_flushes, 1u);  // multiple segments, or the
-                                            // farm has nothing to prove
+                                            // replay has nothing to prove
   options.pool = &pool;
   for (const uint32_t join_threads : {1u, 2u, 8u}) {
-    for (const uint32_t matching_threads : {2u, 5u, 8u}) {
-      options.join_threads = join_threads;
-      options.matching_threads = matching_threads;
-      ExpectResultsIdentical(serial,
-                             RunMethod(Method::kExMinMax, b, a, options),
-                             Method::kExMinMax,
-                             join_threads * 100 + matching_threads);
-    }
+    options.join_threads = join_threads;
+    ExpectResultsIdentical(serial, RunMethod(Method::kExMinMax, b, a, options),
+                           Method::kExMinMax, join_threads);
+    ExpectMultiChunk(Method::kExMinMax, b, join_threads);
   }
 }
 
@@ -164,8 +165,9 @@ TEST(JoinThreadsTest, ScanAndMatchingThreadsComposeDeterministically) {
 /// one chunk), so comparing join_threads values above holds that path to
 /// itself. The traced scalar loop (an EventLog attached) is the
 /// independent reference: the chunked scan plus the segment replay must
-/// reproduce its pairs and every counter, cached or not, with inline or
-/// farmed matching, on many-segment, random and one-user couples.
+/// reproduce its pairs and every counter, cached or not, on many-segment,
+/// random and one-user couples. The one-user couple is the degenerate
+/// single-chunk case at every join_threads.
 TEST(JoinThreadsTest, ExMinMaxChunkedScanMatchesTracedLoop) {
   const std::pair<Community, Community> couples[] = {
       {ClusteredCommunity(260, testing::TestSeed(17)),
@@ -195,17 +197,43 @@ TEST(JoinThreadsTest, ExMinMaxChunkedScanMatchesTracedLoop) {
         EncodingCache cache;
         options.cache = cached ? &cache : nullptr;
         for (const uint32_t join_threads : {1u, 2u, 5u, 8u}) {
-          for (const uint32_t matching_threads : {1u, 4u}) {
-            options.join_threads = join_threads;
-            options.matching_threads = matching_threads;
-            ExpectResultsIdentical(
-                traced, RunMethod(Method::kExMinMax, b, a, options),
-                Method::kExMinMax, join_threads * 100 + matching_threads);
+          options.join_threads = join_threads;
+          ExpectResultsIdentical(traced,
+                                 RunMethod(Method::kExMinMax, b, a, options),
+                                 Method::kExMinMax, join_threads);
+          if (b.size() > 1) {
+            ExpectMultiChunk(Method::kExMinMax, b, join_threads);
+          } else {
+            EXPECT_EQ(internal::GetJoinScratch().chunk_arenas.last_chunks(),
+                      1u);
           }
         }
       }
     }
   }
+}
+
+/// A serving-sized couple (40 x 40, as a top-k refine join sees) is below
+/// the chunk floor: at join_threads 4 it runs one chunk inline, exactly
+/// the path join_threads 1 takes, and gives the same result.
+TEST(JoinThreadsTest, SmallCoupleRunsOneInlineChunk) {
+  const Community b = RandomCommunity(8, 40, 10, testing::TestSeed(24));
+  const Community a = RandomCommunity(8, 40, 10, testing::TestSeed(25));
+  util::ThreadPool pool(4);
+  for (const Method method : {Method::kExMinMax, Method::kExBaseline,
+                              Method::kExSuperEgo, Method::kExMinMaxEgo}) {
+    JoinOptions options;
+    options.eps = 2;
+    const JoinResult serial = RunMethod(method, b, a, options);
+    options.pool = &pool;
+    options.join_threads = 4;
+    ExpectResultsIdentical(serial, RunMethod(method, b, a, options), method,
+                           4);
+    EXPECT_EQ(internal::GetJoinScratch().chunk_arenas.last_chunks(), 1u)
+        << MethodName(method);
+  }
+  EXPECT_EQ(
+      internal::ScanChunkCount(40, 4, internal::ScanUnit::kProbeRow), 1u);
 }
 
 /// The cached and cache-less paths must agree under parallel chunking too
@@ -231,8 +259,10 @@ TEST(JoinThreadsTest, ByteIdenticalWithEncodingCache) {
       // dedup) and hot cache (pure shared-lock hits).
       ExpectResultsIdentical(serial, RunMethod(method, b, a, options), method,
                              join_threads);
+      ExpectMultiChunk(method, b, join_threads);
       ExpectResultsIdentical(serial, RunMethod(method, b, a, options), method,
                              join_threads);
+      ExpectMultiChunk(method, b, join_threads);
     }
   }
 }
@@ -274,7 +304,7 @@ void ExpectReportsIdentical(const PipelineReport& serial,
 }
 
 /// Both parallelism axes at once: couples fan out across the pool while
-/// each join chunks its own scan on the same pool (the nested ParallelFor
+/// each join chunks its own scan on the same pool (the nested ScanChunks
 /// inlines on the worker — the budget and re-entrant Run() guarantee).
 /// The report must still be byte-identical to the fully serial run.
 TEST(JoinThreadsTest, NestedUnderPipelineThreadsIsDeterministic) {
@@ -302,7 +332,9 @@ TEST(JoinThreadsTest, NestedUnderPipelineThreadsIsDeterministic) {
   const PipelineReport serial = ScreenAndRefineAllPairs(pointers, options);
   EXPECT_GT(serial.entries.size(), 0u);
 
-  util::ThreadPool pool(4);
+  // Eight pool threads, so even four couples in flight leave each join a
+  // budget of two threads and a multi-chunk scan.
+  util::ThreadPool pool(8);
   options.pool = &pool;
   for (const uint32_t pipeline_threads : {2u, 4u}) {
     for (const uint32_t join_threads : {2u, 8u}) {
@@ -313,21 +345,14 @@ TEST(JoinThreadsTest, NestedUnderPipelineThreadsIsDeterministic) {
       ExpectReportsIdentical(serial,
                              ScreenAndRefineAllPairs(pointers, options),
                              pipeline_threads, join_threads);
+      // The smallest community bounds every refine couple's probe side;
+      // the budget is lowest with pipeline_threads couples in flight.
+      const uint32_t budget = pipeline::NestedJoinThreads(
+          join_threads, pipeline_threads, pool.threads(), UINT32_MAX);
+      EXPECT_GT(internal::ScanChunkCount(150, budget,
+                                         internal::ScanUnit::kProbeRow),
+                1u);
     }
-  }
-
-  // Third axis: deferred segment matching nested under both of the above.
-  // NestedJoinThreads budgets matching_threads exactly like join_threads,
-  // and the farm degrades to an inline loop on a worker thread — the
-  // report must not move a bit.
-  for (const uint32_t matching_threads : {2u, 8u}) {
-    EncodingCache cache;
-    options.join.cache = &cache;
-    options.pipeline_threads = 4;
-    options.join.join_threads = 2;
-    options.join.matching_threads = matching_threads;
-    ExpectReportsIdentical(serial, ScreenAndRefineAllPairs(pointers, options),
-                           4, 200 + matching_threads);
   }
 }
 

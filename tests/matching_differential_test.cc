@@ -1,8 +1,6 @@
 // Differential matching tests: every production matcher is checked
 // against the independent brute-force oracle (tests/matching_oracle.h)
-// on hundreds of seeded random candidate graphs per regime, and the
-// SegmentMatchFarm is checked byte-identical to serial per-segment
-// matching for every matching_threads value the issue names. All
+// on hundreds of seeded random candidate graphs per regime. All
 // randomness derives from the logged master seed (tests/test_seed.h), so
 // any failure reproduces with --seed=<logged>.
 
@@ -19,7 +17,6 @@
 #include "matching_oracle.h"
 #include "test_seed.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace csj::matching {
 namespace {
@@ -234,109 +231,6 @@ TEST(MatchingDifferentialTest, OutputsSatisfyProductionOneToOnePredicate) {
           << MatcherName(kind) << " iteration " << i;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// SegmentMatchFarm: parallel deferred matching must be byte-identical to
-// matching each segment inline, in segment order, for every thread count.
-// ---------------------------------------------------------------------------
-
-/// Builds `segments` random edge lists with disjoint id ranges (as the
-/// Ex-MinMax flush rule guarantees) plus some empty-adjacent gaps.
-std::vector<std::vector<MatchedPair>> RandomSegments(util::Rng& rng,
-                                                     uint32_t segments) {
-  std::vector<std::vector<MatchedPair>> out;
-  uint32_t base = 0;
-  for (uint32_t s = 0; s < segments; ++s) {
-    const uint32_t size = 1 + static_cast<uint32_t>(rng.Below(12));
-    std::vector<MatchedPair> edges;
-    for (uint32_t b = 0; b < size; ++b) {
-      for (uint32_t a = 0; a < size; ++a) {
-        if (rng.Bernoulli(0.5)) edges.push_back({base + b, base + a});
-      }
-    }
-    if (edges.empty()) edges.push_back({base, base});
-    out.push_back(std::move(edges));
-    base += size + 2;
-  }
-  return out;
-}
-
-TEST(SegmentMatchFarmTest, MatchesSerialConcatenationForAllThreadCounts) {
-  util::ThreadPool pool(4);
-  SegmentMatchFarm farm;
-  for (MatcherKind kind : {MatcherKind::kCsf, MatcherKind::kMaxMatching}) {
-    for (uint64_t trial = 0; trial < 30; ++trial) {
-      util::Rng rng(TestSeed(7000 + trial));
-      const uint32_t count = 1 + static_cast<uint32_t>(rng.Below(9));
-      const auto segments = RandomSegments(rng, count);
-
-      // Reference: match each segment inline, concatenate in order.
-      std::vector<MatchedPair> expected;
-      for (const auto& segment : segments) {
-        const auto matched = RunMatcher(kind, segment);
-        expected.insert(expected.end(), matched.begin(), matched.end());
-      }
-
-      for (uint32_t threads : {1u, 2u, 5u, 8u}) {
-        farm.Reset();
-        for (const auto& segment : segments) {
-          std::vector<MatchedPair> copy = segment;
-          farm.Enqueue(&copy);
-          EXPECT_TRUE(copy.empty());  // Enqueue takes by swap
-        }
-        EXPECT_EQ(farm.segments(), count);
-        std::vector<MatchedPair> actual;
-        farm.MatchAll(kind, threads, &pool, &actual);
-        EXPECT_EQ(actual, expected)
-            << MatcherName(kind) << " trial " << trial << " threads "
-            << threads;
-        EXPECT_EQ(farm.segments(), 0u);  // MatchAll resets the farm
-      }
-    }
-  }
-}
-
-TEST(SegmentMatchFarmTest, AppendsAfterExistingOutput) {
-  // MatchAll must append, not overwrite — the join accumulates pairs from
-  // earlier (inline) flushes and from the prescreen path.
-  util::ThreadPool pool(4);
-  SegmentMatchFarm farm;
-  std::vector<MatchedPair> segment = {{0, 0}, {1, 1}};
-  farm.Enqueue(&segment);
-  std::vector<MatchedPair> out = {{100, 100}};
-  farm.MatchAll(MatcherKind::kCsf, 2, &pool, &out);
-  ASSERT_GE(out.size(), 2u);
-  EXPECT_EQ(out[0], (MatchedPair{100, 100}));
-}
-
-TEST(SegmentMatchFarmTest, EmptyFarmIsANoOp) {
-  SegmentMatchFarm farm;
-  std::vector<MatchedPair> out;
-  farm.MatchAll(MatcherKind::kCsf, 4, nullptr, &out);
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(SegmentMatchFarmTest, SlotReuseAcrossJoinsIsClean) {
-  // A farm borrowed by successive joins must not leak a previous join's
-  // segments: enqueue 3 segments, drain, then enqueue 1 and drain again.
-  util::ThreadPool pool(2);
-  SegmentMatchFarm farm;
-  for (uint32_t s = 0; s < 3; ++s) {
-    std::vector<MatchedPair> segment = {{s * 10, s * 10}};
-    farm.Enqueue(&segment);
-  }
-  std::vector<MatchedPair> first;
-  farm.MatchAll(MatcherKind::kCsf, 2, &pool, &first);
-  EXPECT_EQ(first.size(), 3u);
-
-  std::vector<MatchedPair> segment = {{99, 99}};
-  farm.Enqueue(&segment);
-  EXPECT_EQ(farm.segments(), 1u);
-  std::vector<MatchedPair> second;
-  farm.MatchAll(MatcherKind::kCsf, 2, &pool, &second);
-  const std::vector<MatchedPair> expected = {{99, 99}};
-  EXPECT_EQ(second, expected);
 }
 
 }  // namespace

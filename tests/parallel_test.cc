@@ -1,69 +1,201 @@
-// Tests for the ParallelFor utility and the thread-count invariance of
-// the parallel execution paths: every join method and the pipeline must
-// reproduce the serial result byte for byte at any thread count.
+// Tests for the joins' chunk partitioner (internal::ScanChunks) and the
+// thread-count invariance of the parallel execution paths: every join
+// method and the pipeline must reproduce the serial result byte for byte
+// at any thread count.
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
-#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/community.h"
 #include "core/epsilon_predicate.h"
+#include "core/join_scratch.h"
 #include "core/method.h"
 #include "pipeline/screening.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace csj {
 namespace {
 
-TEST(ParallelForTest, CoversRangeExactlyOnce) {
-  for (const uint32_t threads : {1u, 2u, 3u, 7u}) {
-    std::vector<std::atomic<int>> hits(100);
-    for (auto& h : hits) h = 0;
-    util::ParallelFor(10, 90, threads,
-                      [&](uint32_t lo, uint32_t hi, uint32_t) {
-                        for (uint32_t i = lo; i < hi; ++i) ++hits[i];
-                      });
-    for (uint32_t i = 0; i < 100; ++i) {
-      EXPECT_EQ(hits[i].load(), (i >= 10 && i < 90) ? 1 : 0)
-          << "i=" << i << " threads=" << threads;
+using internal::ChunkSlot;
+using internal::ScanChunkCount;
+using internal::ScanChunks;
+using internal::ScanUnit;
+
+/// Probe rows enough for the multi-chunk path at any thread count tested.
+constexpr uint32_t kManyRows = 64 * 64;
+
+/// Runs ScanChunks over [0, n) and returns each chunk's [lo, hi) in the
+/// order the slots come back (each body records its range in its slot).
+std::vector<std::pair<uint32_t, uint32_t>> ChunkRanges(
+    uint32_t n, uint32_t threads, ScanUnit unit, util::ThreadPool* pool) {
+  std::vector<std::pair<uint32_t, uint32_t>> ranges;
+  for (const ChunkSlot& slot :
+       ScanChunks(n, threads, unit, pool,
+                  [](uint32_t lo, uint32_t hi, ChunkSlot* chunk) {
+                    chunk->edges.push_back(MatchedPair{lo, hi});
+                  })) {
+    EXPECT_EQ(slot.edges.size(), 1u);
+    if (!slot.edges.empty()) {
+      ranges.emplace_back(slot.edges[0].b, slot.edges[0].a);
+    }
+  }
+  return ranges;
+}
+
+TEST(ScanChunksTest, CoversRangeExactlyOnce) {
+  util::ThreadPool pool(4);
+  for (const ScanUnit unit : {ScanUnit::kProbeRow, ScanUnit::kEgoLeaf}) {
+    for (const uint32_t n : {1u, 100u, 1000u, kManyRows + 7}) {
+      for (const uint32_t threads : {1u, 2u, 3u, 7u}) {
+        std::vector<std::atomic<int>> hits(n);
+        for (auto& h : hits) h = 0;
+        ScanChunks(n, threads, unit, &pool,
+                   [&](uint32_t lo, uint32_t hi, ChunkSlot*) {
+                     for (uint32_t i = lo; i < hi; ++i) ++hits[i];
+                   });
+        for (uint32_t i = 0; i < n; ++i) {
+          ASSERT_EQ(hits[i].load(), 1)
+              << "i=" << i << " n=" << n << " threads=" << threads;
+        }
+      }
     }
   }
 }
 
-TEST(ParallelForTest, EmptyRangeRunsNothing) {
+TEST(ScanChunksTest, EmptyRangeRunsNothing) {
   int calls = 0;
-  util::ParallelFor(5, 5, 4, [&](uint32_t, uint32_t, uint32_t) { ++calls; });
+  const auto slots = ScanChunks(0, 4, ScanUnit::kProbeRow, nullptr,
+                                [&](uint32_t, uint32_t, ChunkSlot*) {
+                                  ++calls;
+                                });
   EXPECT_EQ(calls, 0);
-  EXPECT_EQ(util::ParallelChunks(5, 5, 4), 0u);
+  EXPECT_TRUE(slots.empty());
+  EXPECT_EQ(ScanChunkCount(0, 4, ScanUnit::kProbeRow), 0u);
+  EXPECT_EQ(ScanChunkCount(0, 1, ScanUnit::kEgoLeaf), 0u);
 }
 
-TEST(ParallelForTest, ChunksClampToRangeSize) {
-  EXPECT_EQ(util::ParallelChunks(0, 3, 100), 3u);
-  EXPECT_EQ(util::ParallelChunks(0, 100, 4), 4u);
-  EXPECT_EQ(util::ParallelChunks(0, 10, 0), 1u);
-}
-
-TEST(ParallelForTest, ChunkIndicesAreContiguousAndOrderedByRange) {
-  std::mutex mutex;
-  std::vector<std::pair<uint32_t, uint32_t>> spans(4);
-  util::ParallelFor(0, 10, 4, [&](uint32_t lo, uint32_t hi, uint32_t chunk) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    spans[chunk] = {lo, hi};
-  });
-  uint32_t expected_lo = 0;
-  for (const auto& [lo, hi] : spans) {
-    EXPECT_EQ(lo, expected_lo);
-    EXPECT_LE(hi - lo, 3u);
-    EXPECT_GE(hi - lo, 2u);
-    expected_lo = hi;
+/// Contiguous, near-equal chunks come back in range order, on a pool.
+TEST(ScanChunksTest, ChunkIndicesAreContiguousAndOrderedByRange) {
+  util::ThreadPool pool(4);
+  for (const uint32_t n : {1000u, kManyRows, kManyRows + 13}) {
+    const auto ranges = ChunkRanges(n, 4, ScanUnit::kProbeRow, &pool);
+    ASSERT_EQ(ranges.size(), ScanChunkCount(n, 4, ScanUnit::kProbeRow));
+    EXPECT_GT(ranges.size(), 1u);
+    const uint32_t smallest = n / static_cast<uint32_t>(ranges.size());
+    uint32_t expected_lo = 0;
+    for (const auto& [lo, hi] : ranges) {
+      EXPECT_EQ(lo, expected_lo);
+      EXPECT_GE(hi - lo, smallest);
+      EXPECT_LE(hi - lo, smallest + 1);
+      expected_lo = hi;
+    }
+    EXPECT_EQ(expected_lo, n);
   }
-  EXPECT_EQ(expected_lo, 10u);
+}
+
+/// The chunk count is a function of (n, threads, unit) alone: one chunk
+/// below the floor, more chunks than threads once the work allows, and
+/// never more than the per-thread multiple.
+TEST(ScanChunksTest, ChunkCountDependsOnlyOnWork) {
+  for (const ScanUnit unit : {ScanUnit::kProbeRow, ScanUnit::kEgoLeaf}) {
+    const uint32_t floor = internal::MinUnitsPerChunk(unit);
+    for (const uint32_t threads : {2u, 4u, 8u}) {
+      EXPECT_EQ(ScanChunkCount(1, threads, unit), 1u);
+      EXPECT_EQ(ScanChunkCount(2 * floor - 1, threads, unit), 1u);
+      EXPECT_EQ(ScanChunkCount(2 * floor, threads, unit), 2u);
+      EXPECT_GT(ScanChunkCount((threads + 1) * floor, threads, unit),
+                threads);
+      EXPECT_EQ(ScanChunkCount(UINT32_MAX, threads, unit),
+                threads * internal::kChunksPerThread);
+    }
+    EXPECT_EQ(ScanChunkCount(UINT32_MAX, 1, unit), 1u);
+    EXPECT_EQ(ScanChunkCount(UINT32_MAX, 0, unit), 1u);
+  }
+  // A 40-user serving couple never leaves the caller.
+  EXPECT_EQ(ScanChunkCount(40, 4, ScanUnit::kProbeRow), 1u);
+}
+
+/// The partition is the same on every injected pool size.
+TEST(ScanChunksTest, InjectedPoolKeepsChunkLayout) {
+  std::vector<std::pair<uint32_t, uint32_t>> reference;
+  for (const uint32_t pool_threads : {1u, 2u, 4u}) {
+    util::ThreadPool pool(pool_threads);
+    const auto ranges = ChunkRanges(kManyRows, 4, ScanUnit::kProbeRow, &pool);
+    EXPECT_EQ(ranges.size(), 32u);
+    if (reference.empty()) reference = ranges;
+    EXPECT_EQ(ranges, reference) << "pool_threads=" << pool_threads;
+  }
+}
+
+/// threads == 1, or work below the floor, runs one chunk inline on the
+/// calling thread with no pool interaction.
+TEST(ScanChunksTest, SingleThreadRunsInlineOnCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  util::ThreadPool pool(4);
+  const std::pair<uint32_t, uint32_t> cases[] = {
+      {kManyRows, 1}, {100, 4}, {40, 8}};
+  for (const auto& [n, threads] : cases) {
+    uint32_t calls = 0;
+    ScanChunks(n, threads, ScanUnit::kProbeRow, &pool,
+               [&](uint32_t lo, uint32_t hi, ChunkSlot*) {
+                 EXPECT_EQ(std::this_thread::get_id(), caller);
+                 EXPECT_FALSE(util::ThreadPool::OnWorkerThread());
+                 EXPECT_EQ(lo, 0u);
+                 EXPECT_EQ(hi, n);
+                 ++calls;
+               });
+    EXPECT_EQ(calls, 1u) << "n=" << n << " threads=" << threads;
+  }
+}
+
+/// A scan started from inside a pool task keeps its partition but runs
+/// every chunk inline on that worker.
+TEST(ScanChunksTest, NestedCallRunsInline) {
+  util::ThreadPool pool(4);
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> ranges(4);
+  std::vector<uint8_t> inline_only(4, 1);
+  pool.Run(4, [&](uint32_t task) {
+    const std::thread::id worker = std::this_thread::get_id();
+    ScanChunks(kManyRows, 4, ScanUnit::kProbeRow, &pool,
+               [&](uint32_t, uint32_t, ChunkSlot*) {
+                 if (std::this_thread::get_id() != worker) {
+                   inline_only[task] = 0;
+                 }
+               });
+    ranges[task] = ChunkRanges(kManyRows, 4, ScanUnit::kProbeRow, &pool);
+  });
+  for (uint32_t task = 0; task < 4; ++task) {
+    EXPECT_EQ(inline_only[task], 1) << "task " << task;
+    EXPECT_EQ(ranges[task].size(),
+              ScanChunkCount(kManyRows, 4, ScanUnit::kProbeRow));
+  }
+}
+
+/// `threads` caps the concurrency even on a bigger pool.
+TEST(ScanChunksTest, AtMostThreadsRunChunksAtOnce) {
+  util::ThreadPool pool(4);
+  for (const uint32_t threads : {2u, 3u}) {
+    std::atomic<uint32_t> active{0};
+    std::atomic<uint32_t> peak{0};
+    ScanChunks(kManyRows, threads, ScanUnit::kProbeRow, &pool,
+               [&](uint32_t, uint32_t, ChunkSlot*) {
+                 const uint32_t now = active.fetch_add(1) + 1;
+                 uint32_t seen = peak.load();
+                 while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+                 }
+                 std::this_thread::sleep_for(std::chrono::microseconds(200));
+                 active.fetch_sub(1);
+               });
+    EXPECT_LE(peak.load(), threads);
+    EXPECT_GE(peak.load(), 1u);
+  }
 }
 
 Community RandomCommunity(Dim d, uint32_t n, Count max_value, uint64_t seed) {
@@ -105,21 +237,6 @@ TEST(ParallelJoinTest, ThreadCountInvarianceForEveryMethod) {
       EXPECT_EQ(parallel.stats.candidate_pairs, serial.stats.candidate_pairs);
     }
   }
-}
-
-/// ParallelFor with threads == 1 must execute inline on the calling
-/// thread with no pool interaction (the paper's evaluation setting).
-TEST(ParallelForTest, SingleThreadRunsInlineOnCaller) {
-  const std::thread::id caller = std::this_thread::get_id();
-  uint32_t calls = 0;
-  util::ParallelFor(0, 100, 1, [&](uint32_t lo, uint32_t hi, uint32_t c) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    EXPECT_EQ(lo, 0u);
-    EXPECT_EQ(hi, 100u);
-    EXPECT_EQ(c, 0u);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1u);
 }
 
 /// The blocked EpsilonMatches agrees with the independent Chebyshev

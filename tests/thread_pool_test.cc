@@ -1,7 +1,8 @@
 // Tests for the persistent thread pool: task coverage under dynamic
 // claiming, pool reuse across calls (no per-call thread spawn), the
-// inline single-thread path, the parallelism cap, re-entrancy, and the
-// ParallelFor reimplementation riding on it.
+// inline single-thread path, the parallelism cap and re-entrancy. The
+// joins' chunk partitioner on top of the pool is covered by
+// ScanChunksTest in parallel_test.cc.
 
 #include <atomic>
 #include <chrono>
@@ -12,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/parallel.h"
 #include "util/thread_pool.h"
 
 namespace csj::util {
@@ -150,32 +150,6 @@ TEST(ThreadPoolTest, GlobalIsASingleton) {
 
 TEST(ThreadPoolTest, DefaultThreadsIsPositive) {
   EXPECT_GE(ThreadPool::DefaultThreads(), 1u);
-}
-
-/// ParallelFor on an injected pool keeps its documented static partition:
-/// contiguous chunks ordered by chunk index, sizes differing by at most
-/// one, independent of the executing pool's size.
-TEST(ThreadPoolTest, ParallelForOnInjectedPoolKeepsChunkLayout) {
-  for (const uint32_t pool_threads : {1u, 2u, 5u}) {
-    ThreadPool pool(pool_threads);
-    std::mutex mutex;
-    std::vector<std::pair<uint32_t, uint32_t>> spans(4);
-    ParallelFor(
-        0, 10, 4,
-        [&](uint32_t lo, uint32_t hi, uint32_t chunk) {
-          const std::lock_guard<std::mutex> lock(mutex);
-          spans[chunk] = {lo, hi};
-        },
-        &pool);
-    uint32_t expected_lo = 0;
-    for (const auto& [lo, hi] : spans) {
-      EXPECT_EQ(lo, expected_lo);
-      EXPECT_LE(hi - lo, 3u);
-      EXPECT_GE(hi - lo, 2u);
-      expected_lo = hi;
-    }
-    EXPECT_EQ(expected_lo, 10u);
-  }
 }
 
 /// Back-to-back jobs with different bodies reuse the pool safely (the

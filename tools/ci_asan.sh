@@ -4,9 +4,8 @@
 # paths that hand out shared buffers: the encoding cache's entry
 # promotion/eviction (a join must keep its shared_ptr alive across
 # eviction), the SoA verify windows' padded tail lanes, the per-chunk
-# arenas of the intra-join parallel scans (join_threads_test), the
-# segment-matching farm's swapped edge buffers (matching_differential_
-# test), and the scan kernels' unaligned vector loads. Runs the full test
+# arenas of the intra-join parallel scans (join_threads_test), and the
+# scan kernels' unaligned vector loads. Runs the full test
 # suite — ASan is cheap enough for that, and the join methods are where
 # the pointers live; that includes the matching oracle/differential,
 # matching-property and epsilon-boundary suites, plus the serving
@@ -25,7 +24,9 @@
 # the persistence suites (persist_test pins copy-on-write views over an
 # munmap'd segment — the keepalive must hold the mapping alive; the
 # crash and fsck suites walk mapped columns with recomputed offsets,
-# where every off-by-one is an out-of-bounds read ASan can see).
+# where every off-by-one is an out-of-bounds read ASan can see), and the
+# seeded corruption suites that feed damaged segments, wire frames and
+# mutation logs to their parsers.
 #
 # Usage: tools/ci_asan.sh [build-dir]   (default: build-asan)
 set -eu

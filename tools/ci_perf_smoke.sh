@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI-style performance smoke gate: builds a Release tree, runs a small
 # bench_pipeline sweep at pipeline_threads {1,4} (plus the single-couple
-# join_threads and matching_threads sweeps), and FAILS when the JSON
+# join_threads sweep), and FAILS when the JSON
 # reports a scaling regression (threads=4 slower than threads=1 beyond
 # the bench's 10% noise margin) or any report-identity mismatch. This is the check that
 # keeps "parallelism going backwards" out of BENCH_pipeline.json instead
@@ -60,10 +60,6 @@ check_json() {
     echo "FAIL: join_scaling_ok=false in ${json_file} (join_threads=4 slower than serial)" >&2
     fail=1
   fi
-  if grep -Eq '"matching_scaling_ok": ?false' "${json_file}"; then
-    echo "FAIL: matching_scaling_ok=false in ${json_file} (matching_threads=4 slower than inline flush)" >&2
-    fail=1
-  fi
   if grep -Eq '"report_identical": ?false' "${json_file}"; then
     echo "FAIL: report_identical=false in ${json_file} (a parallel run diverged from serial)" >&2
     fail=1
@@ -97,7 +93,7 @@ json_out="${build_dir}/perf_smoke.json"
 # genuinely run (multiple couples per worker, multiple chunks per join).
 "${build_dir}/bench/bench_pipeline" \
   --size=1200 --candidates=10 --allpairs=8 \
-  --pipeline_threads=1,4 --join_threads=1,4 --matching_threads=1,4 \
+  --pipeline_threads=1,4 --join_threads=1,4 \
   --json="${json_out}" \
   --git_sha="${git_sha}" --build_type=Release
 

@@ -1,10 +1,9 @@
 #!/bin/sh
 # CI-style ThreadSanitizer gate for the concurrency-sensitive pieces: the
-# persistent thread pool, the ParallelFor chunk merge, the parallel
-# screening pipeline, the intra-join chunked scans (join_threads, incl.
-# nesting under pipeline_threads), the deferred segment-matching farm
-# (matching_threads; SegmentMatchFarm + the oracle-differential suite),
-# the shared encoding cache (concurrent build dedup, shared-lock hit
+# persistent thread pool, the ScanChunks partitioner and chunk merge, the
+# parallel screening pipeline, the intra-join chunked scans (join_threads,
+# incl. nesting under pipeline_threads), the oracle-differential matcher
+# suite, the shared encoding cache (concurrent build dedup, shared-lock hit
 # path, eviction, Clear), and the serving subsystem (sharded catalog
 # upsert/remove/snapshot churn, top-k queries against a churning catalog,
 # live-session staleness, and the server's bounded queue + admission +
@@ -50,6 +49,6 @@ cmake --build "${build_dir}" -j \
 # halt_on_error: any race fails the gate immediately.
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "${build_dir}" --output-on-failure -j 1 \
-        -R 'ThreadPool|ParallelFor|ParallelJoin|ParallelPipeline|Pipeline|EncodingCache|JoinThreads|NestedJoinThreads|CostAwareScheduling|SegmentMatchFarm|MatchingDifferential|Catalog|BulkLoad|LiveCoupleSession|TopKService|ServiceStress|Signature|Prescreen|RequestQueue|ServerEdf|ResultCache|NetWire|NetLoopback|EvolveStress|PersistCrash'
+        -R 'ThreadPool|ScanChunks|ParallelJoin|ParallelPipeline|Pipeline|EncodingCache|JoinThreads|NestedJoinThreads|CostAwareScheduling|MatchingDifferential|Catalog|BulkLoad|LiveCoupleSession|TopKService|ServiceStress|Signature|Prescreen|RequestQueue|ServerEdf|ResultCache|NetWire|NetLoopback|EvolveStress|PersistCrash'
 
 echo "TSAN gate passed."
